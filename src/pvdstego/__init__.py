@@ -8,16 +8,14 @@ every pixel in range at identical capacity.
 
 from .apvd import (
     ApvdReport,
-    BlockOutcome,
-    apvd_embed_block,
     apvd_embed_image,
-    apvd_extract_block,
     apvd_extract_image,
-    mark_flag,
+    embed_block_values,
+    extract_block_value,
+    mark_with_case,
     read_flag_and_adjust,
 )
 from .codec import (
-    BitCursor,
     CapacityError,
     PayloadError,
     Range,
@@ -31,19 +29,17 @@ from .imagery import GrayImage, PgmError, block_sequence, load_pgm, save_pgm, sy
 from .metrics import ComparisonRow, QualityReport, capacity, compare, psnr
 from .pvd import (
     PvdResult,
-    WidePixelPair,
-    pvd_embed_block,
+    embed_pair,
+    extract_pair,
     pvd_embed_image,
-    pvd_extract_block,
     pvd_extract_image,
+    wide_window,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ApvdReport",
-    "BitCursor",
-    "BlockOutcome",
     "CapacityError",
     "ComparisonRow",
     "GrayImage",
@@ -54,25 +50,25 @@ __all__ = [
     "Range",
     "RangeTable",
     "TruncatedPayload",
-    "WidePixelPair",
-    "apvd_embed_block",
     "apvd_embed_image",
-    "apvd_extract_block",
     "apvd_extract_image",
     "block_sequence",
     "build_range_table",
     "capacity",
     "compare",
     "deframe_payload",
+    "embed_block_values",
+    "embed_pair",
+    "extract_block_value",
+    "extract_pair",
     "frame_payload",
     "load_pgm",
-    "mark_flag",
+    "mark_with_case",
     "psnr",
-    "pvd_embed_block",
     "pvd_embed_image",
-    "pvd_extract_block",
     "pvd_extract_image",
     "read_flag_and_adjust",
     "save_pgm",
     "synthetic_cover",
+    "wide_window",
 ]

@@ -15,6 +15,11 @@ adjustment itself can never leave the gray range.  Extraction undoes the
 mark (LSB 0 -> first+1, LSB 1 -> first-1), recovers the difference, and
 restores a dropped MSB as '1'.
 
+The per-block kernels are ``embed_block_values`` and ``mark_with_case``
+for embedding and ``extract_block_value`` for extraction; the image
+walks call exactly these functions, and the exhaustive oracle in
+:mod:`pvdstego.oracle` checks them case by case.
+
 One marked state is unrecoverable: the pair (0, 255) with flag 0 cannot
 be adjusted without leaving the range, so the mark step leaves it alone
 and extraction of that block comes back off by one.  These "lossy
@@ -31,18 +36,10 @@ Branch and mark-case labels used in reports:
 
 from dataclasses import dataclass
 
-from .codec import (
-    BitCursor,
-    CapacityError,
-    FrameCollector,
-    Range,
-    RangeTable,
-    deframe_payload,
-    frame_payload,
-)
-from .imagery import GrayImage, block_sequence
+from .codec import RangeTable, deframe_payload, frame_payload
+from .imagery import GrayImage
 from .metrics import mse_psnr
-from .pvd import adjust_pair, raw_bit_capacity
+from .pvd import adjust_pair, check_capacity, embed_blocks, extract_blocks
 
 BRANCH_PLAIN = "plain"
 BRANCH_DISCARD_RESOLVED = "discard_resolved"
@@ -56,17 +53,6 @@ BRANCHES = (
 )
 
 LOSSY_MARK_CASE = "keep/01-corner"
-
-
-@dataclass
-class BlockOutcome:
-    """Per-block embedding trace, before the flag mark is applied."""
-
-    pixels: tuple[int, int]
-    flag: int
-    branch: str
-    distortion: tuple[int, int]
-    mark_case: str | None = None  # set once the block is marked
 
 
 def one_sided_pair(
@@ -96,18 +82,18 @@ def one_sided_pair(
 
 
 def embed_block_values(
-    p: int, q: int, chunk: int, rng: Range
+    p: int, q: int, chunk: int, table: RangeTable
 ) -> tuple[tuple[int, int], int, str]:
-    """Embed one chunk with overflow handling; no cursor, no marking.
+    """Embed one chunk with overflow handling, before the flag mark.
 
     Returns (pixels, flag, branch) with pixels guaranteed in [0, 255].
     """
-    d = abs(q - p)
-    lower = rng.lower
+    d = p - q if p > q else q - p
+    lower = table.lower[d]
     attempt = adjust_pair(p, q, d, lower + chunk)
     if 0 <= attempt[0] <= 255 and 0 <= attempt[1] <= 255:
         return attempt, 0, BRANCH_PLAIN
-    t = rng.bits
+    t = table.t[d]
     if chunk >> (t - 1):
         # MSB is 1: drop it, re-embed the remaining t-1 bits
         d_new = lower + chunk - (1 << (t - 1))
@@ -119,25 +105,16 @@ def embed_block_values(
     return one_sided_pair(p, q, attempt, d, lower + chunk), 0, BRANCH_ONE_SIDED
 
 
-def apvd_embed_block(
-    p: int, q: int, cursor: BitCursor, table: RangeTable
-) -> BlockOutcome:
-    """Read the block's t bits and embed them overflow-safely."""
-    rng = table.locate(abs(q - p))
-    chunk = cursor.read(rng.bits)
-    pixels, flag, branch = embed_block_values(p, q, chunk, rng)
-    return BlockOutcome(
-        pixels=pixels,
-        flag=flag,
-        branch=branch,
-        distortion=(abs(pixels[0] - p), abs(pixels[1] - q)),
-    )
-
-
-def _mark_with_case(
+def mark_with_case(
     pixels: tuple[int, int], flag: int
 ) -> tuple[tuple[int, int], str]:
-    """Apply the flag-marking table; returns adjusted pair and case label."""
+    """Adjust a block so the first pixel's LSB records the flag.
+
+    Applied to every data-carrying block; returns the adjusted pair and
+    the case label.  The pair (0, 255) with flag 0 is the single case
+    left untouched (its mismatched LSB makes the block extract off by
+    one).
+    """
     p, q = pixels
     if flag == 0:
         if p & 1 == 0:
@@ -165,18 +142,6 @@ def _mark_with_case(
     return (p, q - 1), "drop/11"
 
 
-def mark_flag(pixels: tuple[int, int], flag: int) -> tuple[int, int]:
-    """Adjust a block so the first pixel's LSB records the flag.
-
-    Applied to every data-carrying block.  The pair (0, 255) with flag 0
-    is the single case left untouched (its mismatched LSB makes the
-    block extract off by one).
-    """
-    marked, _ = _mark_with_case(pixels, flag)
-    assert 0 <= marked[0] <= 255 and 0 <= marked[1] <= 255
-    return marked
-
-
 def read_flag_and_adjust(pixels: tuple[int, int]) -> tuple[int, int]:
     """Recover the flag from the first pixel's LSB and undo the mark."""
     first = pixels[0]
@@ -185,20 +150,21 @@ def read_flag_and_adjust(pixels: tuple[int, int]) -> tuple[int, int]:
 
 
 def extract_block_value(first: int, second: int, table: RangeTable) -> tuple[int, int]:
-    """Return (chunk value, t) for a marked stego pair."""
-    flag, adjusted = read_flag_and_adjust((first, second))
-    d = abs(adjusted - second)
-    rng = table.locate(d)
-    value = d - rng.lower
-    if flag:
-        value |= 1 << (rng.bits - 1)  # restore the dropped MSB
-    return value, rng.bits
+    """The extraction kernel: (chunk value, t) of a marked stego pair.
 
-
-def apvd_extract_block(pixels: tuple[int, int], table: RangeTable) -> str:
-    """Recover the block's t bits, MSB-first; always exactly t bits."""
-    value, t = extract_block_value(pixels[0], pixels[1], table)
-    return format(value, f"0{t}b")
+    Undoes the mark as read_flag_and_adjust does, inlined because this
+    runs once per block.
+    """
+    if first & 1:  # flag 1: restore the dropped MSB
+        d = first - 1 - second
+        if d < 0:
+            d = -d
+        t = table.t[d]
+        return d - table.lower[d] | 1 << (t - 1), t
+    d = first + 1 - second
+    if d < 0:
+        d = -d
+    return d - table.lower[d], table.t[d]
 
 
 @dataclass
@@ -215,37 +181,30 @@ class ApvdReport:
     psnr_db: float
 
 
+def _embed_marked(
+    p: int, q: int, chunk: int, table: RangeTable
+) -> tuple[int, int, tuple[str, str]]:
+    pixels, flag, branch = embed_block_values(p, q, chunk, table)
+    (first, second), case = mark_with_case(pixels, flag)
+    return first, second, (branch, case)
+
+
 def apvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> ApvdReport:
     """Frame the payload and embed it block by block; stego stays 8-bit."""
     framed = frame_payload(payload)
-    available = raw_bit_capacity(cover, table)
-    if len(framed) > available:
-        raise CapacityError(len(framed), available)
-    cursor = BitCursor(framed)
-    stego = bytearray(cover.pixels)
+    bits = check_capacity(cover, framed, table)
+    stego, counts = embed_blocks(cover.pixels, framed, table, _embed_marked)
     branch_counts = dict.fromkeys(BRANCHES, 0)
     mark_case_counts: dict[str, int] = {}
-    bits_embedded = 0
-    blocks_used = 0
-    for idx, (p, q) in block_sequence(cover):
-        if cursor.exhausted:
-            break
-        rng = table.locate(abs(q - p))
-        take = min(rng.bits, cursor.remaining)
-        chunk = cursor.read_padded(rng.bits)
-        pixels, flag, branch = embed_block_values(p, q, chunk, rng)
-        marked, case = _mark_with_case(pixels, flag)
-        stego[idx.first], stego[idx.second] = marked
-        branch_counts[branch] += 1
-        mark_case_counts[case] = mark_case_counts.get(case, 0) + 1
-        bits_embedded += take
-        blocks_used += 1
+    for (branch, case), n in counts.items():
+        branch_counts[branch] += n
+        mark_case_counts[case] = mark_case_counts.get(case, 0) + n
     image = GrayImage(cover.width, cover.height, bytes(stego))
     mse, psnr_db = mse_psnr(cover.pixels, image.pixels)
     return ApvdReport(
         stego=image,
-        bits_embedded=bits_embedded,
-        blocks_used=blocks_used,
+        bits_embedded=bits,
+        blocks_used=sum(counts.values()),
         branch_counts=branch_counts,
         mark_case_counts=mark_case_counts,
         lossy_corner_count=mark_case_counts.get(LOSSY_MARK_CASE, 0),
@@ -256,8 +215,4 @@ def apvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> Apv
 
 def apvd_extract_image(stego: GrayImage, table: RangeTable) -> bytes:
     """Read marked blocks until the framed stream completes, then deframe."""
-    collector = FrameCollector()
-    for _, (first, second) in block_sequence(stego):
-        if collector.push(apvd_extract_block((first, second), table)):
-            break
-    return deframe_payload(collector.framed())
+    return deframe_payload(extract_blocks(stego.pixels, table, extract_block_value))

@@ -188,6 +188,8 @@ def cmd_capacity(args) -> int:
 def _compare_covers(args) -> list[tuple[str, GrayImage]]:
     if not args.cover:
         size = args.size
+        if size < 1:
+            raise _UsageError(f"--size must be a positive integer, got {size}")
         return [
             (kind, synthetic_cover(kind, size, size, seed=args.seed))
             for kind in SYNTHETIC_KINDS

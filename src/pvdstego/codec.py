@@ -1,12 +1,15 @@
 """Quantization range table, bit-capacity arithmetic and payload framing.
 
-Bit streams are plain strings of '0'/'1', MSB-first within each source
-byte.  The payload wire format is a 32-bit big-endian bit-count header
-followed by the message bits; any zero bits an embedder appends past the
-end of the stream to fill its final chunk are dropped again on deframing.
+Bit streams are ``bytes``, MSB-first within each byte.  The payload wire
+format is a 32-bit big-endian bit-count header followed by the message
+bits; any zero bits an embedder appends past the end of the stream to
+fill its final chunk are dropped again on deframing.  Streams are cut
+into per-block chunks and packed back together through a small integer
+accumulator that never holds more than 15 bits.
 """
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 DEFAULT_WIDTHS = (8, 8, 16, 32, 64, 128)
 
@@ -23,10 +26,6 @@ class CapacityError(ValueError):
         )
         self.needed_bits = needed_bits
         self.available_bits = available_bits
-
-
-class BitstreamExhausted(ValueError):
-    """A strict chunk read ran past the end of the bit stream."""
 
 
 class PayloadError(ValueError):
@@ -61,7 +60,11 @@ class Range:
 
 
 class RangeTable:
-    """Contiguous ranges partitioning the difference domain [0, 255]."""
+    """Contiguous ranges partitioning the difference domain [0, 255].
+
+    ``t[d]`` and ``lower[d]`` are the bits per block and the range's
+    lower bound for each difference d, the lookups the block kernels use.
+    """
 
     def __init__(self, ranges: list[Range]):
         if not ranges:
@@ -72,10 +75,9 @@ class RangeTable:
             if cur.lower != prev.upper + 1:
                 raise ValueError(f"ranges not contiguous at {prev} -> {cur}")
         self.ranges = tuple(ranges)
-        # O(1) lookup by difference value
-        self._by_diff = []
-        for rng in self.ranges:
-            self._by_diff.extend([rng] * rng.width)
+        self._by_diff = tuple(rng for rng in self.ranges for _ in range(rng.width))
+        self.t = tuple(rng.bits for rng in self._by_diff)
+        self.lower = tuple(rng.lower for rng in self._by_diff)
 
     def locate(self, d: int) -> Range:
         """Return the unique range containing the difference d in [0, 255]."""
@@ -118,111 +120,88 @@ def parse_widths(text: str) -> tuple[int, ...]:
     return widths
 
 
-class BitCursor:
-    """Sequential MSB-first reader over a '0'/'1' string."""
+def read_chunks(stream: bytes, widths: Iterable[int]) -> Iterator[int]:
+    """Cut a stream into MSB-first chunks of the given widths (each <= 8).
 
-    def __init__(self, bits: str):
-        if bits.strip("01"):
-            raise ValueError("bit stream may only contain '0' and '1'")
-        self.bits = bits
-        self.position = 0
-
-    @property
-    def remaining(self) -> int:
-        return len(self.bits) - self.position
-
-    @property
-    def exhausted(self) -> bool:
-        return self.position >= len(self.bits)
-
-    def read(self, t: int) -> int:
-        """Read exactly t bits as an MSB-first integer, e.g. '010' -> 2."""
-        if self.remaining < t:
-            raise BitstreamExhausted(
-                f"need {t} bits but only {self.remaining} remain"
-            )
-        chunk = self.bits[self.position : self.position + t]
-        self.position += t
-        return int(chunk, 2)
-
-    def read_padded(self, t: int) -> int:
-        """Read up to t bits, zero-filling on the right past stream end.
-
-        Used for the final chunk of an embedding pass: the extractor
-        discards the filler via the length header.
-        """
-        chunk = self.bits[self.position : self.position + t]
-        self.position += len(chunk)
-        return int(chunk.ljust(t, "0"), 2)
+    Stops once every bit of the stream has been handed out; the final
+    chunk is zero-filled on the right, and the extractor discards the
+    fill via the length header.
+    """
+    data = iter(stream)
+    left = 8 * len(stream)
+    acc = held = 0
+    for t in widths:
+        if left <= 0:
+            return
+        if held < t:
+            acc = acc << 8 | next(data, 0)
+            held += 8
+        held -= t
+        yield acc >> held
+        acc &= (1 << held) - 1
+        left -= t
 
 
-def bits_from_bytes(data: bytes) -> str:
-    return "".join(format(byte, "08b") for byte in data)
+def collect_frame(chunks: Iterable[tuple[int, int]]) -> bytes:
+    """Pack (value, t) chunks (t <= 8) until the framed stream is complete.
+
+    Consumes chunks only until the header and the payload bits it
+    declares are in, and returns the bytes that hold them (the last one
+    possibly part fill).
+    """
+    out = bytearray()
+    acc = held = got = 0
+    target = HEADER_BITS
+    declared = None
+    for value, t in chunks:
+        acc = acc << t | value
+        held += t
+        if held >= 8:
+            held -= 8
+            out.append(acc >> held)
+            acc &= (1 << held) - 1
+        got += t
+        if got >= target:
+            if declared is not None:
+                break
+            declared = int.from_bytes(out[:4], "big")
+            target += declared
+            if got >= target:
+                break
+    else:
+        raise TruncatedPayload(
+            f"stego image ran out of blocks after {got} bits "
+            f"(declared payload: {'unknown' if declared is None else declared} bits)"
+        )
+    if held:
+        out.append(acc << (8 - held))
+    return bytes(out[: (target + 7) // 8])
 
 
-def bytes_from_bits(bits: str) -> bytes:
-    if len(bits) % 8:
-        raise PayloadError(f"bit count {len(bits)} is not a multiple of 8")
-    return bytes(int(bits[i : i + 8], 2) for i in range(0, len(bits), 8))
-
-
-def frame_payload(message: bytes) -> str:
-    """Prefix the message bits with a 32-bit big-endian bit-count header."""
+def frame_payload(message: bytes) -> bytes:
+    """Prefix the message with a 32-bit big-endian bit-count header."""
     nbits = len(message) * 8
     if nbits >= 1 << HEADER_BITS:
         raise ValueError("message too long for the 32-bit length header")
-    return format(nbits, "032b") + bits_from_bytes(message)
+    return nbits.to_bytes(HEADER_BITS // 8, "big") + message
 
 
-def deframe_payload(bits: str) -> bytes:
-    """Recover the message bytes from a framed bit stream.
+def deframe_payload(stream: bytes) -> bytes:
+    """Recover the message bytes from a framed stream.
 
     Bits past the declared length (embedder fill) are ignored.
     """
-    if len(bits) < HEADER_BITS:
+    if len(stream) * 8 < HEADER_BITS:
         raise TruncatedPayload(
-            f"stream holds {len(bits)} bits, shorter than the {HEADER_BITS}-bit header"
+            f"stream holds {len(stream) * 8} bits, shorter than the {HEADER_BITS}-bit header"
         )
-    declared = int(bits[:HEADER_BITS], 2)
-    if declared > len(bits) - HEADER_BITS:
+    declared = int.from_bytes(stream[: HEADER_BITS // 8], "big")
+    available = len(stream) * 8 - HEADER_BITS
+    if declared > available:
         raise TruncatedPayload(
-            f"header declares {declared} payload bits but only "
-            f"{len(bits) - HEADER_BITS} are available"
+            f"header declares {declared} payload bits but only {available} are available"
         )
-    return bytes_from_bits(bits[HEADER_BITS : HEADER_BITS + declared])
-
-
-class FrameCollector:
-    """Accumulates per-block chunks until a framed stream is complete.
-
-    Drives extraction: push each block's bits and stop as soon as the
-    header plus the declared payload length have been gathered.
-    """
-
-    def __init__(self):
-        self._parts: list[str] = []
-        self._length = 0
-        self.target: int | None = None
-
-    def push(self, chunk: str) -> bool:
-        """Add one block's bits; return True once the stream is complete."""
-        self._parts.append(chunk)
-        self._length += len(chunk)
-        if self.target is None and self._length >= HEADER_BITS:
-            head = "".join(self._parts)
-            self.target = HEADER_BITS + int(head[:HEADER_BITS], 2)
-        return self.target is not None and self._length >= self.target
-
-    @property
-    def complete(self) -> bool:
-        return self.target is not None and self._length >= self.target
-
-    def framed(self) -> str:
-        """Return the completed stream, trimmed of trailing block fill."""
-        if not self.complete:
-            declared = "unknown" if self.target is None else self.target - HEADER_BITS
-            raise TruncatedPayload(
-                f"stego image ran out of blocks after {self._length} bits "
-                f"(declared payload: {declared} bits)"
-            )
-        return "".join(self._parts)[: self.target]
+    if declared % 8:
+        raise PayloadError(f"bit count {declared} is not a multiple of 8")
+    start = HEADER_BITS // 8
+    return stream[start : start + declared // 8]

@@ -2,10 +2,11 @@
 
 import math
 from dataclasses import dataclass
+from operator import sub
 from typing import Sequence
 
 from .codec import HEADER_BITS, RangeTable, frame_payload
-from .imagery import GrayImage, block_sequence
+from .imagery import GrayImage
 
 PEAK_SQUARED = 255 * 255
 
@@ -71,7 +72,8 @@ def capacity(cover: GrayImage, table: RangeTable) -> tuple[int, int]:
     both methods; net bytes account for the length header (and are
     clamped at zero for covers too small to hold even the header).
     """
-    raw = sum(table.locate(abs(q - p)).bits for _, (p, q) in block_sequence(cover))
+    px = cover.pixels
+    raw = sum(map(table.t.__getitem__, map(abs, map(sub, px[0::2], px[1::2]))))
     return raw, max(0, (raw - HEADER_BITS) // 8)
 
 

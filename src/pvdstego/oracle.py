@@ -2,11 +2,11 @@
 
 Sweeps every pixel pair (p, q) in [0, 255]^2 and every admissible chunk
 for that pair's range (about 4 million cases for the default table) and
-checks, per case:
+checks, per case, the same per-block kernels the image walks call:
 
 * baseline: the pair realizes the new difference exactly, stays inside
-  the wide window, never leaves [0, 255] on the difference-decreasing
-  path, and round-trips whenever it stays in range;
+  the table's wide window, never leaves [0, 255] on the
+  difference-decreasing path, and round-trips whenever it stays in range;
 * adaptive: the marked output is always inside [0, 255], the flag and
   difference survive the mark, a difference-increasing violation is the
   only way into the one-sided fallback, a set flag implies the chunk's
@@ -17,6 +17,7 @@ The sweep is embarrassingly parallel over first-pixel values; use
 jobs > 1 to fan out across processes.
 """
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -62,12 +63,15 @@ def expected_case_count(table: RangeTable) -> int:
     return total
 
 
-def _check_pair(p: int, q: int, table: RangeTable, out: _Partial) -> None:
+def _check_pair(
+    p: int, q: int, table: RangeTable, window: tuple[int, int], out: _Partial
+) -> None:
     d = abs(q - p)
     rng = table.locate(d)
     t = rng.bits
     lower = rng.lower
     half = 1 << (t - 1)
+    wide_min, wide_max = window
     failures = out.failures
     branches = out.branches
     marks = out.marks
@@ -81,10 +85,10 @@ def _check_pair(p: int, q: int, table: RangeTable, out: _Partial) -> None:
         d_new = lower + chunk
 
         # baseline scheme
-        a1, a2 = pvd.adjust_pair(p, q, d, d_new)
+        a1, a2 = pvd.embed_pair(p, q, chunk, table)
         if abs(a2 - a1) != d_new:
             fail(chunk, f"baseline pair ({a1},{a2}) does not realize d'={d_new}")
-        if not (pvd.WIDE_MIN <= a1 <= pvd.WIDE_MAX and pvd.WIDE_MIN <= a2 <= pvd.WIDE_MAX):
+        if not (wide_min <= a1 <= wide_max and wide_min <= a2 <= wide_max):
             fail(chunk, f"baseline pair ({a1},{a2}) outside wide window")
         in_range = 0 <= a1 <= 255 and 0 <= a2 <= 255
         if d_new <= d and not in_range:
@@ -96,7 +100,7 @@ def _check_pair(p: int, q: int, table: RangeTable, out: _Partial) -> None:
                 fail(chunk, f"baseline round trip gave {value} over {t_back} bits")
 
         # adaptive scheme
-        (b1, b2), flag, branch = apvd.embed_block_values(p, q, chunk, rng)
+        (b1, b2), flag, branch = apvd.embed_block_values(p, q, chunk, table)
         branches[branch] += 1
         if not (0 <= b1 <= 255 and 0 <= b2 <= 255):
             fail(chunk, f"adaptive pre-mark pair ({b1},{b2}) out of range")
@@ -109,7 +113,7 @@ def _check_pair(p: int, q: int, table: RangeTable, out: _Partial) -> None:
             if realized <= d:
                 fail(chunk, f"one-sided fallback fired although d'={realized} <= d={d}")
 
-        marked, case = apvd._mark_with_case((b1, b2), flag)
+        marked, case = apvd.mark_with_case((b1, b2), flag)
         marks[case] = marks.get(case, 0) + 1
         m1, m2 = marked
         if not (0 <= m1 <= 255 and 0 <= m2 <= 255):
@@ -135,10 +139,11 @@ def _check_pair(p: int, q: int, table: RangeTable, out: _Partial) -> None:
 
 def _sweep_span(widths: tuple[int, ...], p_start: int, p_stop: int) -> _Partial:
     table = build_range_table(widths)
+    window = pvd.wide_window(table)
     out = _Partial()
     for p in range(p_start, p_stop):
         for q in range(256):
-            _check_pair(p, q, table, out)
+            _check_pair(p, q, table, window, out)
     return out
 
 
@@ -157,15 +162,19 @@ def _merge(parts: list[_Partial]) -> _Partial:
 
 
 def run(table: RangeTable, jobs: int = 1) -> OracleResult:
-    """Run the full sweep; jobs > 1 fans out over worker processes."""
+    """Run the full sweep; jobs > 1 fans out over worker processes.
+
+    The pool never has more workers than CPUs or sweep spans.
+    """
     started = time.perf_counter()
     widths = table.widths
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         merged = _sweep_span(widths, 0, 256)
     else:
         step = max(1, 256 // (jobs * 4))
         spans = [(widths, lo, min(256, lo + step)) for lo in range(0, 256, step)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(spans))) as pool:
             merged = _merge(list(pool.map(_sweep_span, *zip(*spans))))
     merged.corner.sort()
     return OracleResult(

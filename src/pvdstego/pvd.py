@@ -8,27 +8,30 @@ partner).  The scheme is reproduced as defined, including its flaw: near
 0/255 a stego pixel can leave the gray range.  Violations are counted
 and surfaced, never silently repaired; the adaptive variant in
 :mod:`pvdstego.apvd` exists to eliminate them.
+
+This module also holds the block walks both schemes share: one embed
+walk driven by a per-block function, and one extraction walk that
+decodes blocks until the framed stream is complete.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import repeat
+from operator import sub
+from typing import Callable, Sequence
 
-from .codec import (
-    BitCursor,
-    CapacityError,
-    FrameCollector,
-    RangeTable,
-    TruncatedPayload,
-)
-from .imagery import GrayImage, block_sequence
-
-# stego values stay within this window even when they leave [0, 255]
-WIDE_MIN, WIDE_MAX = -64, 319
+from .codec import CapacityError, RangeTable, collect_frame, read_chunks
+from .imagery import GrayImage
+from .metrics import capacity
 
 
-class WidePixelPair(NamedTuple):
-    first: int
-    second: int
+def wide_window(table: RangeTable) -> tuple[int, int]:
+    """Bounds every baseline stego value stays within, even outside [0, 255].
+
+    A pixel moves by at most ceil(m / 2) with m < the widest range, so
+    half the widest range bounds the excursion on either side.
+    """
+    h = max(table.widths) // 2
+    return -h, 255 + h
 
 
 def adjust_pair(p: int, q: int, d: int, d_new: int) -> tuple[int, int]:
@@ -45,116 +48,98 @@ def adjust_pair(p: int, q: int, d: int, d_new: int) -> tuple[int, int]:
     return p + half_down, q - half_up
 
 
-def embed_pair(p: int, q: int, chunk: int, lower: int) -> tuple[int, int]:
-    """Embed an already-read chunk value into one pixel pair."""
-    d = abs(q - p)
-    return adjust_pair(p, q, d, lower + chunk)
+def embed_pair(p: int, q: int, chunk: int, table: RangeTable) -> tuple[int, int]:
+    """The baseline block kernel: embed one chunk; may leave [0, 255]."""
+    d = p - q if p > q else q - p
+    return adjust_pair(p, q, d, table.lower[d] + chunk)
 
 
-def pvd_embed_block(
-    p: int, q: int, cursor: BitCursor, table: RangeTable
-) -> WidePixelPair:
-    """Read t bits for the block's range and embed them; may leave [0, 255]."""
-    rng = table.locate(abs(q - p))
-    chunk = cursor.read(rng.bits)
-    first, second = embed_pair(p, q, chunk, rng.lower)
-    assert WIDE_MIN <= first <= WIDE_MAX and WIDE_MIN <= second <= WIDE_MAX
-    return WidePixelPair(first, second)
+def extract_pair(first: int, second: int, table: RangeTable) -> tuple[int, int]:
+    """The baseline extraction kernel: (chunk value, t) of a stego pair."""
+    d = first - second if first > second else second - first
+    return d - table.lower[d], table.t[d]
 
 
-def extract_pair(p2: int, q2: int, table: RangeTable) -> tuple[int, int]:
-    """Return (chunk value, t) recovered from a stego pair."""
-    d_new = abs(q2 - p2)
-    rng = table.locate(d_new)
-    return d_new - rng.lower, rng.bits
+EmbedBlock = Callable[[int, int, int, RangeTable], tuple[int, int, object]]
+ExtractBlock = Callable[[int, int, RangeTable], tuple[int, int]]
 
 
-def pvd_extract_block(p2: int, q2: int, table: RangeTable) -> str:
-    """Recover the block's t bits, MSB-first."""
-    value, t = extract_pair(p2, q2, table)
-    return format(value, f"0{t}b")
+def embed_blocks(
+    pixels: Sequence[int], stream: bytes, table: RangeTable, embed_block: EmbedBlock
+) -> tuple[list[int], dict]:
+    """The embed walk: feed each block its chunk until the stream is out.
+
+    ``embed_block(p, q, chunk, table)`` returns the block's two stego
+    values and a label.  Returns the stego raster (blocks past the
+    stream and any odd trailing pixel copied verbatim) and how many
+    blocks got each label, in order of first appearance.  The caller
+    has checked that the stream fits.
+    """
+    firsts, seconds = pixels[0::2], pixels[1::2]
+    widths = map(table.t.__getitem__, map(abs, map(sub, firsts, seconds)))
+    chunks = read_chunks(stream, widths)
+    stego: list[int] = []
+    counts: dict = {}
+    for first, second, label in map(embed_block, firsts, seconds, chunks, repeat(table)):
+        stego += first, second
+        counts[label] = counts.get(label, 0) + 1
+    stego += pixels[len(stego) :]
+    return stego, counts
 
 
-def raw_bit_capacity(cover: GrayImage, table: RangeTable) -> int:
-    """Total hidable bits: the sum of t over all blocks of the cover."""
-    locate = table.locate
-    px = cover.pixels
-    return sum(
-        locate(abs(px[i + 1] - px[i])).bits for i in range(0, 2 * ((len(px)) // 2), 2)
-    )
+def extract_blocks(pixels: Sequence[int], table: RangeTable, extract_block: ExtractBlock) -> bytes:
+    """The extraction walk: decode blocks until the framed stream is in."""
+    return collect_frame(map(extract_block, pixels[0::2], pixels[1::2], repeat(table)))
+
+
+def check_capacity(cover: GrayImage, stream: bytes, table: RangeTable) -> int:
+    """Return the stream's bit count; raise CapacityError if it does not fit."""
+    needed = 8 * len(stream)
+    available, _ = capacity(cover, table)
+    if needed > available:
+        raise CapacityError(needed, available)
+    return needed
 
 
 @dataclass
 class PvdResult:
-    """Embedding trace: wide stego raster plus violation statistics."""
+    """Embedding trace: wide stego raster plus violation statistics.
+
+    ``violations`` counts the stego values outside [0, 255].
+    """
 
     stego: list[int]
     violations: int
     bits_embedded: int
     blocks_used: int
 
-    def __post_init__(self):
-        assert self.violations == sum(1 for v in self.stego if not 0 <= v <= 255)
+
+def _embed_counted(p: int, q: int, chunk: int, table: RangeTable) -> tuple[int, int, int]:
+    """embed_pair, labelled with how many of the two values left [0, 255]."""
+    first, second = embed_pair(p, q, chunk, table)
+    return first, second, (not 0 <= first <= 255) + (not 0 <= second <= 255)
 
 
-def pvd_embed_image(cover: GrayImage, payload: str, table: RangeTable) -> PvdResult:
-    """Embed a bit stream block by block until it is exhausted.
+def pvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> PvdResult:
+    """Embed a stream block by block until it is exhausted.
 
     The caller frames the stream (see codec.frame_payload); the final
     chunk is zero-filled to its block's t.  Untouched blocks and any odd
     trailing pixel are copied verbatim.
     """
-    needed = len(payload)
-    available = raw_bit_capacity(cover, table)
-    if needed > available:
-        raise CapacityError(needed, available)
-    cursor = BitCursor(payload)
-    stego = list(cover.pixels)
-    violations = 0
-    bits_embedded = 0
-    blocks_used = 0
-    for idx, (p, q) in block_sequence(cover):
-        if cursor.exhausted:
-            break
-        rng = table.locate(abs(q - p))
-        take = min(rng.bits, cursor.remaining)
-        chunk = cursor.read_padded(rng.bits)
-        first, second = embed_pair(p, q, chunk, rng.lower)
-        stego[idx.first] = first
-        stego[idx.second] = second
-        violations += (not 0 <= first <= 255) + (not 0 <= second <= 255)
-        bits_embedded += take
-        blocks_used += 1
-    return PvdResult(stego, violations, bits_embedded, blocks_used)
+    needed = check_capacity(cover, payload, table)
+    stego, counts = embed_blocks(cover.pixels, payload, table, _embed_counted)
+    violations = sum(n * label for label, n in counts.items())
+    return PvdResult(stego, violations, needed, sum(counts.values()))
 
 
-def pvd_extract_image(
-    stego: Sequence[int], table: RangeTable, bit_budget: int | None = None
-) -> str:
-    """Concatenate per-block extractions from a (possibly wide) raster.
+def pvd_extract_image(stego: Sequence[int], table: RangeTable) -> bytes:
+    """Read a (possibly wide) raster until its framed stream is complete.
 
-    With the default bit_budget the stream is cut by its own length
-    header; an explicit budget returns exactly that many leading bits.
+    Returns the bytes holding the header and the declared payload bits,
+    for codec.deframe_payload.
     """
-    if bit_budget is None:
-        collector = FrameCollector()
-        for i in range(0, 2 * (len(stego) // 2), 2):
-            if collector.push(pvd_extract_block(stego[i], stego[i + 1], table)):
-                break
-        return collector.framed()
-    parts: list[str] = []
-    length = 0
-    for i in range(0, 2 * (len(stego) // 2), 2):
-        if length >= bit_budget:
-            break
-        chunk = pvd_extract_block(stego[i], stego[i + 1], table)
-        parts.append(chunk)
-        length += len(chunk)
-    if length < bit_budget:
-        raise TruncatedPayload(
-            f"requested {bit_budget} bits but the raster holds only {length}"
-        )
-    return "".join(parts)[:bit_budget]
+    return extract_blocks(stego, table, extract_pair)
 
 
 def clamp_raster(stego: Sequence[int]) -> bytes:
@@ -163,4 +148,6 @@ def clamp_raster(stego: Sequence[int]) -> bytes:
     Lossy whenever violations are present; extraction from a clamped
     raster can return corrupted data.
     """
+    if not stego or (min(stego) >= 0 and max(stego) <= 255):
+        return bytes(stego)
     return bytes(min(255, max(0, v)) for v in stego)

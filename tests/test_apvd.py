@@ -9,17 +9,15 @@ from pvdstego.apvd import (
     BRANCH_PLAIN,
     BRANCHES,
     LOSSY_MARK_CASE,
-    _mark_with_case,
-    apvd_embed_block,
     apvd_embed_image,
-    apvd_extract_block,
     apvd_extract_image,
     embed_block_values,
-    mark_flag,
+    extract_block_value,
+    mark_with_case,
     one_sided_pair,
     read_flag_and_adjust,
 )
-from pvdstego.codec import BitCursor, CapacityError, PayloadError, build_range_table
+from pvdstego.codec import CapacityError, PayloadError, build_range_table
 from pvdstego.imagery import GrayImage, synthetic_cover
 
 TABLE = build_range_table()
@@ -41,17 +39,7 @@ WIDE_TABLE = build_range_table((256,))
     ],
 )
 def test_embed_block_values_examples(pair, chunk, expected, flag, branch):
-    rng = TABLE.locate(abs(pair[1] - pair[0]))
-    assert embed_block_values(pair[0], pair[1], chunk, rng) == (expected, flag, branch)
-
-
-def test_embed_block_wrapper_adds_distortion():
-    outcome = apvd_embed_block(254, 255, BitCursor("111"), TABLE)
-    assert outcome.pixels == (252, 255)
-    assert outcome.flag == 1
-    assert outcome.branch == BRANCH_DISCARD_THEN_ONE_SIDED
-    assert outcome.distortion == (2, 0)
-    assert outcome.mark_case is None
+    assert embed_block_values(pair[0], pair[1], chunk, TABLE) == (expected, flag, branch)
 
 
 def test_one_sided_pair_keeps_difference():
@@ -81,13 +69,14 @@ MARK_ROWS = [
     (((1, 100), 1), ((1, 99), "drop/10")),
     (((1, 0), 1), ((3, 1), "drop/10-bottom")),
     (((1, 1), 1), ((1, 0), "drop/11")),
+    (((252, 255), 1), ((253, 255), "drop/01")),
 ]
 
 
 @pytest.mark.parametrize("given_,expected", MARK_ROWS)
 def test_mark_table_rows(given_, expected):
     pixels, flag = given_
-    marked, case = _mark_with_case(pixels, flag)
+    marked, case = mark_with_case(pixels, flag)
     assert (marked, case) == expected
     assert 0 <= marked[0] <= 255 and 0 <= marked[1] <= 255
     assert marked[0] & 1 == flag
@@ -100,16 +89,10 @@ def test_mark_table_rows(given_, expected):
         assert abs(adjusted - marked[1]) == abs(pixels[1] - pixels[0])
 
 
-def test_mark_flag_public_wrapper():
-    assert mark_flag((252, 255), 1) == (253, 255)
-    assert mark_flag((100, 100), 0) == (100, 101)
-    assert mark_flag((1, 1), 0) == (0, 1)
-
-
 def test_unreachable_mark_input_rejected():
     # LSBs (1, 0) with q == 0 and p == 255 cannot come from a flag-1 embed
     with pytest.raises(ValueError):
-        _mark_with_case((255, 0), 1)
+        mark_with_case((255, 0), 1)
 
 
 def test_read_flag_and_adjust():
@@ -122,14 +105,18 @@ def test_read_flag_and_adjust():
     [((253, 255), "111"), ((100, 101), "000"), ((0, 1), "000"), ((60, 83), "0110")],
 )
 def test_extract_block_examples(pixels, bits):
-    assert apvd_extract_block(pixels, TABLE) == bits
+    assert extract_block_value(pixels[0], pixels[1], TABLE) == (int(bits, 2), len(bits))
 
 
 def test_extract_always_returns_block_width_bits():
-    for pixels in [(0, 1), (100, 101), (0, 254), (255, 0), (127, 128)]:
-        flag, adjusted = read_flag_and_adjust(pixels)
-        rng = TABLE.locate(abs(adjusted - pixels[1]))
-        assert len(apvd_extract_block(pixels, TABLE)) == rng.bits
+    for first in range(256):
+        for second in range(256):
+            flag, adjusted = read_flag_and_adjust((first, second))
+            rng = TABLE.locate(abs(adjusted - second))
+            value, t = extract_block_value(first, second, TABLE)
+            assert t == rng.bits
+            assert 0 <= value < 1 << t
+            assert value >> (t - 1) >= flag  # a set flag restores the MSB
 
 
 @settings(max_examples=600)
@@ -137,18 +124,18 @@ def test_extract_always_returns_block_width_bits():
 def test_block_round_trip_through_mark(p, q, data):
     rng = TABLE.locate(abs(q - p))
     chunk = data.draw(st.integers(0, rng.width - 1))
-    pixels, flag, branch = embed_block_values(p, q, chunk, rng)
+    pixels, flag, branch = embed_block_values(p, q, chunk, TABLE)
     assert 0 <= pixels[0] <= 255 and 0 <= pixels[1] <= 255
     assert branch in BRANCHES
     if flag:
         assert chunk >> (rng.bits - 1)  # flagged only after an MSB discard
-    marked, case = _mark_with_case(pixels, flag)
-    recovered = apvd_extract_block(marked, TABLE)
+    marked, case = mark_with_case(pixels, flag)
+    value, t = extract_block_value(marked[0], marked[1], TABLE)
+    assert t == rng.bits
     if case == LOSSY_MARK_CASE:
-        assert int(recovered, 2) == chunk - 1  # documented off-by-one corner
+        assert value == chunk - 1  # documented off-by-one corner
     else:
-        assert int(recovered, 2) == chunk
-        assert len(recovered) == rng.bits
+        assert value == chunk
 
 
 def test_image_round_trip_full_capacity():

@@ -256,3 +256,44 @@ def test_selftest_single_bit_table(capsys):
     out = capsys.readouterr().out
     assert "cases checked: 131072" in out
     assert "selftest passed" in out
+
+
+@pytest.mark.parametrize("size", ["0", "-3"])
+def test_compare_rejects_non_positive_size(size, capsys):
+    assert main(["compare", "--size", size]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_selftest_jobs_bounded_by_cpus_and_spans(monkeypatch, capsys):
+    from pvdstego import oracle
+
+    started = []
+
+    class InlinePool:
+        """Records the requested worker count and runs the spans in-process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+    widths = ",".join(["2"] * 128)
+    assert main(["selftest", "--widths", widths, "--jobs", "100000"]) == EXIT_OK
+    assert "cases checked: 131072" in capsys.readouterr().out
+    assert started == [3]
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1000)
+    assert main(["selftest", "--widths", widths, "--jobs", "100000"]) == EXIT_OK
+    assert started == [3, 256]  # one span per first-pixel value at most
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
+    assert main(["selftest", "--widths", widths, "--jobs", "100000"]) == EXIT_OK
+    assert started == [3, 256]  # unknown CPU count: one job, in-process
+    capsys.readouterr()

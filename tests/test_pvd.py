@@ -3,25 +3,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvdstego.codec import (
-    BitCursor,
-    BitstreamExhausted,
     CapacityError,
     TruncatedPayload,
     build_range_table,
+    deframe_payload,
+    frame_payload,
 )
-from pvdstego.imagery import GrayImage, synthetic_cover
+from pvdstego.imagery import GrayImage
+from pvdstego.metrics import capacity
 from pvdstego.pvd import (
-    WIDE_MAX,
-    WIDE_MIN,
     adjust_pair,
     clamp_raster,
     embed_pair,
     extract_pair,
-    pvd_embed_block,
     pvd_embed_image,
-    pvd_extract_block,
     pvd_extract_image,
-    raw_bit_capacity,
+    wide_window,
 )
 
 TABLE = build_range_table()
@@ -37,10 +34,8 @@ TABLE = build_range_table()
     ],
 )
 def test_embed_block_examples(pair, bits, expected):
-    cursor = BitCursor(bits)
-    stego = pvd_embed_block(pair[0], pair[1], cursor, TABLE)
-    assert (stego.first, stego.second) == expected
-    assert cursor.exhausted
+    assert TABLE.t[abs(pair[1] - pair[0])] == len(bits)
+    assert embed_pair(pair[0], pair[1], int(bits, 2), TABLE) == expected
 
 
 @pytest.mark.parametrize(
@@ -48,11 +43,14 @@ def test_embed_block_examples(pair, bits, expected):
     [((251, 258), "111"), ((100, 100), "000"), ((61, 83), "0110")],
 )
 def test_extract_block_inverts_embed(pair, bits):
-    assert pvd_extract_block(pair[0], pair[1], TABLE) == bits
+    assert extract_pair(pair[0], pair[1], TABLE) == (int(bits, 2), len(bits))
 
 
 def test_wide_window_bounds():
-    assert (WIDE_MIN, WIDE_MAX) == (-64, 319)
+    assert wide_window(TABLE) == (-64, 319)
+    assert wide_window(build_range_table((128, 128))) == (-64, 319)
+    assert wide_window(build_range_table((256,))) == (-128, 383)
+    assert wide_window(build_range_table((2,) * 128)) == (-1, 256)
 
 
 def test_adjust_pair_splits_move_asymmetrically():
@@ -62,23 +60,18 @@ def test_adjust_pair_splits_move_asymmetrically():
     assert adjust_pair(10, 20, 10, 15) == (8, 23)
 
 
-def test_embed_block_needs_enough_bits():
-    with pytest.raises(BitstreamExhausted):
-        pvd_embed_block(100, 100, BitCursor("01"), TABLE)
-
-
 @settings(max_examples=400)
 @given(st.integers(0, 255), st.integers(0, 255), st.data())
 def test_block_round_trip_inside_byte_range(p, q, data):
     rng = TABLE.locate(abs(q - p))
     chunk = data.draw(st.integers(0, rng.width - 1))
-    bits = format(chunk, f"0{rng.bits}b")
-    stego = pvd_embed_block(p, q, BitCursor(bits), TABLE)
-    assert WIDE_MIN <= stego.first <= WIDE_MAX
-    assert WIDE_MIN <= stego.second <= WIDE_MAX
-    assert abs(stego.second - stego.first) == rng.lower + chunk
-    if 0 <= stego.first <= 255 and 0 <= stego.second <= 255:
-        assert pvd_extract_block(stego.first, stego.second, TABLE) == bits
+    first, second = embed_pair(p, q, chunk, TABLE)
+    low, high = wide_window(TABLE)
+    assert low <= first <= high
+    assert low <= second <= high
+    assert abs(second - first) == rng.lower + chunk
+    if 0 <= first <= 255 and 0 <= second <= 255:
+        assert extract_pair(first, second, TABLE) == (chunk, rng.bits)
 
 
 @settings(max_examples=400)
@@ -88,69 +81,82 @@ def test_shrinking_difference_never_escapes(p, q, data):
     chunk = data.draw(st.integers(0, rng.width - 1))
     if rng.lower + chunk > abs(q - p):
         return
-    stego = pvd_embed_block(p, q, BitCursor(format(chunk, f"0{rng.bits}b")), TABLE)
-    assert 0 <= stego.first <= 255
-    assert 0 <= stego.second <= 255
+    first, second = embed_pair(p, q, chunk, TABLE)
+    assert 0 <= first <= 255
+    assert 0 <= second <= 255
 
 
 def test_embed_pair_extract_pair_level():
-    assert embed_pair(64, 80, 0b0110, 16) == (61, 83)
+    assert embed_pair(64, 80, 0b0110, TABLE) == (61, 83)
+    assert adjust_pair(64, 80, 16, 16 + 0b0110) == (61, 83)
     assert extract_pair(61, 83, TABLE) == (0b0110, 4)
 
 
 def test_image_embed_counts_violations():
-    cover = GrayImage(4, 1, bytes([254, 255, 128, 128]))
-    result = pvd_embed_image(cover, "111", TABLE)
+    cover = GrayImage(8, 1, bytes([254, 255] + [128] * 6))
+    result = pvd_embed_image(cover, b"\xe0", TABLE)  # chunks 111, 000, 00+0
     assert result.stego[0:2] == [251, 258]
     assert result.violations == 1
-    assert result.bits_embedded == 3
-    assert result.blocks_used == 1
-    assert result.stego[2:] == [128, 128]  # untouched blocks copied verbatim
+    assert result.bits_embedded == 8
+    assert result.blocks_used == 3
+    assert result.stego[2:] == [128] * 6  # zero chunks at d = 0 change nothing
+    assert result.violations == sum(1 for v in result.stego if not 0 <= v <= 255)
 
 
 def test_image_embed_flat_cover_no_violations():
     # mid-gray flat cover: d' <= 7 keeps every stego value near 128
     cover = GrayImage(64, 64, bytes([128] * (64 * 64)))
-    payload = "10" * 512
-    result = pvd_embed_image(cover, payload, TABLE)
+    message = b"\xaa" * 124
+    result = pvd_embed_image(cover, frame_payload(message), TABLE)
     assert result.violations == 0
     assert min(result.stego) >= 0 and max(result.stego) <= 255
-    assert pvd_extract_image(result.stego, TABLE, bit_budget=1024) == payload
+    assert deframe_payload(pvd_extract_image(result.stego, TABLE)) == message
 
 
 def test_capacity_refusal():
     cover = GrayImage(2, 2, bytes([128] * 4))
     with pytest.raises(CapacityError) as info:
-        pvd_embed_image(cover, "1" * 100, TABLE)
-    assert info.value.needed_bits == 100
-    assert info.value.available_bits == raw_bit_capacity(cover, TABLE)
+        pvd_embed_image(cover, b"\xff" * 13, TABLE)
+    assert info.value.needed_bits == 104
+    assert info.value.available_bits == capacity(cover, TABLE)[0]
 
 
 def test_raw_bit_capacity_examples():
+    # embed refuses exactly what metrics.capacity says does not fit
     flat = GrayImage(512, 512, bytes([77] * (512 * 512)))
-    assert raw_bit_capacity(flat, TABLE) == 393216
+    assert capacity(flat, TABLE)[0] == 393216
     tiny = GrayImage(2, 2, bytes([0, 255, 0, 255]))
-    assert raw_bit_capacity(tiny, TABLE) == 14
+    assert capacity(tiny, TABLE)[0] == 14
+    with pytest.raises(CapacityError) as info:
+        pvd_embed_image(tiny, b"\x00\x00", TABLE)
+    assert (info.value.needed_bits, info.value.available_bits) == (16, 14)
+    assert pvd_embed_image(tiny, b"\x00", TABLE).blocks_used == 2
 
 
 def test_empty_payload_touches_nothing():
     cover = GrayImage(4, 1, bytes([254, 255, 128, 128]))
-    result = pvd_embed_image(cover, "", TABLE)
+    result = pvd_embed_image(cover, b"", TABLE)
     assert result.stego == list(cover.pixels)
     assert result.bits_embedded == 0
     assert result.blocks_used == 0
 
 
-def test_extract_with_budget_and_tail_padding():
-    cover = GrayImage(6, 1, bytes([100] * 6))
-    result = pvd_embed_image(cover, "1011", TABLE)  # 4 bits over t=3 blocks
-    assert result.bits_embedded == 4  # padding not counted
-    assert result.blocks_used == 2
-    assert pvd_extract_image(result.stego, TABLE, bit_budget=4) == "1011"
-    assert pvd_extract_image(result.stego, TABLE, bit_budget=6) == "101100"
+def test_extract_drops_tail_padding():
+    message = b"\xb0"
+    cover = GrayImage(32, 1, bytes([100] * 32))
+    result = pvd_embed_image(cover, frame_payload(message), TABLE)  # 40 bits, t = 3
+    assert result.bits_embedded == 40  # padding not counted
+    assert result.blocks_used == 14
+    assert result.stego[28:] == [100] * 4
+    framed = pvd_extract_image(result.stego, TABLE)
+    assert framed == frame_payload(message)
+    assert deframe_payload(framed) == message
+    # the last two blocks hold the message's final bits; without them it is cut short
     with pytest.raises(TruncatedPayload):
-        pvd_extract_image(result.stego, TABLE, bit_budget=100)
+        pvd_extract_image(result.stego[:26], TABLE)
 
 
 def test_clamp_raster():
     assert clamp_raster([-3, 0, 128, 255, 310]) == bytes([0, 0, 128, 255, 255])
+    assert clamp_raster([0, 7, 255]) == bytes([0, 7, 255])
+    assert clamp_raster([]) == b""

@@ -1,0 +1,225 @@
+"""The image walks against a block-by-block loop over the kernels.
+
+The reference loop below spells the scheme out the slow way: bit
+strings, one block at a time in ``block_sequence`` order, and nothing
+but the per-block kernels.  The image walks must agree with it exactly,
+and the extractors must fail only with the documented errors.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pvdstego import oracle
+from pvdstego.apvd import (
+    BRANCHES,
+    apvd_embed_image,
+    apvd_extract_image,
+    embed_block_values,
+    extract_block_value,
+    mark_with_case,
+)
+from pvdstego.codec import (
+    HEADER_BITS,
+    PayloadError,
+    TruncatedPayload,
+    build_range_table,
+    deframe_payload,
+    frame_payload,
+)
+from pvdstego.imagery import GrayImage, PgmError, block_sequence, load_pgm, save_pgm
+from pvdstego.metrics import capacity
+from pvdstego.pvd import embed_pair, extract_pair, pvd_embed_image, pvd_extract_image
+
+TABLE = build_range_table()
+TABLES = [TABLE, build_range_table((2,) * 128), build_range_table((256,))]
+
+
+def _bits(stream: bytes) -> str:
+    return "".join(format(byte, "08b") for byte in stream)
+
+
+def _reference_embed(cover: GrayImage, stream: bytes, table, adaptive: bool):
+    """(stego values, per-block labels, bits embedded) the slow way."""
+    bits = _bits(stream)
+    stego = list(cover.pixels)
+    labels = []
+    pos = 0
+    for index, (p, q) in block_sequence(cover):
+        if pos >= len(bits):
+            break
+        t = table.locate(abs(q - p)).bits
+        chunk = int(bits[pos : pos + t].ljust(t, "0"), 2)
+        pos += t
+        if adaptive:
+            pixels, flag, branch = embed_block_values(p, q, chunk, table)
+            (first, second), case = mark_with_case(pixels, flag)
+            labels.append((branch, case))
+        else:
+            first, second = embed_pair(p, q, chunk, table)
+            labels.append((not 0 <= first <= 255) + (not 0 <= second <= 255))
+        stego[index.first], stego[index.second] = first, second
+    return stego, labels, min(pos, len(bits))
+
+
+def _reference_extract(pixels, table, decode) -> bytes:
+    """Concatenate per-block bit strings until header + declared are in."""
+    bits = ""
+    target = None
+    for i in range(0, len(pixels) - 1, 2):
+        value, t = decode(pixels[i], pixels[i + 1], table)
+        bits += format(value, f"0{t}b")
+        if target is None and len(bits) >= HEADER_BITS:
+            target = HEADER_BITS + int(bits[:HEADER_BITS], 2)
+        if target is not None and len(bits) >= target:
+            bits = bits[:target]
+            return bytes(int(bits[i : i + 8].ljust(8, "0"), 2) for i in range(0, len(bits), 8))
+    raise TruncatedPayload("reference ran out of blocks")
+
+
+def _outcome(call):
+    try:
+        return call()
+    except PayloadError as exc:
+        return type(exc)
+
+
+def _random_raster(rng: random.Random, count: int) -> bytes:
+    # mostly extremes, so the overflow branches and marks all fire
+    pool = [0, 1, 2, 3, 126, 127, 128, 252, 253, 254, 255]
+    return bytes(
+        rng.choice(pool) if rng.random() < 0.5 else rng.randrange(256) for _ in range(count)
+    )
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("width,height", [(9, 9), (8, 10), (1, 81), (33, 17), (64, 31)])
+def test_walks_match_block_by_block_kernels(seed, width, height):
+    rng = random.Random(seed * 1000 + width)
+    table = TABLES[seed % len(TABLES)]
+    cover = GrayImage(width, height, _random_raster(rng, width * height))
+    _, net = capacity(cover, table)
+    payload = rng.randbytes(rng.choice([0, net // 2, net]))
+    framed = frame_payload(payload)
+
+    report = apvd_embed_image(cover, payload, table)
+    stego, labels, bits = _reference_embed(cover, framed, table, adaptive=True)
+    branch_counts = dict.fromkeys(BRANCHES, 0)
+    mark_case_counts = {}
+    for branch, case in labels:
+        branch_counts[branch] += 1
+        mark_case_counts[case] = mark_case_counts.get(case, 0) + 1
+    assert report.stego.pixels == bytes(stego)
+    assert report.branch_counts == branch_counts
+    assert list(report.mark_case_counts.items()) == list(mark_case_counts.items())
+    assert report.bits_embedded == bits == 8 * len(framed)
+    assert report.blocks_used == len(labels)
+    got = _outcome(lambda: apvd_extract_image(report.stego, table))
+    want = _outcome(
+        lambda: deframe_payload(_reference_extract(report.stego.pixels, table, extract_block_value))
+    )
+    assert got == want
+
+    result = pvd_embed_image(cover, framed, table)
+    wide, violations, bits = _reference_embed(cover, framed, table, adaptive=False)
+    assert result.stego == wide
+    assert result.violations == sum(violations) == sum(1 for v in wide if not 0 <= v <= 255)
+    assert result.bits_embedded == bits
+    assert result.blocks_used == len(violations)
+    reference = _reference_extract(result.stego, table, extract_pair)
+    assert pvd_extract_image(result.stego, table) == reference
+
+
+@pytest.mark.parametrize("widths", [(256,), (128, 128)])
+@pytest.mark.parametrize("p_start", [0, 255])
+def test_oracle_passes_wide_tables_at_the_edges(widths, p_start):
+    part = oracle._sweep_span(widths, p_start, p_start + 1)
+    assert part.failures == []
+    table = build_range_table(widths)
+    assert part.total == sum(1 << table.t[abs(q - p_start)] for q in range(256))
+
+
+# --- error paths -------------------------------------------------------------
+
+_HEADER_VALUES = st.sampled_from([b"0", b"1", b"2", b"3", b"255", b"256", b"65535", b"x", b""])
+_SEPARATORS = st.sampled_from([b" ", b"\n", b"\t", b"# note\n", b""])
+
+
+@st.composite
+def _pgm_like(draw):
+    parts = [draw(st.sampled_from([b"P2", b"P5", b"P6", b"P", b""]))]
+    for _ in range(3):
+        parts += [draw(_SEPARATORS), draw(_HEADER_VALUES)]
+    parts.append(draw(_SEPARATORS))
+    body = draw(st.one_of(
+        st.binary(max_size=24),
+        st.lists(st.integers(0, 300), max_size=12).map(lambda v: " ".join(map(str, v)).encode()),
+    ))
+    return b"".join(parts) + body
+
+
+@settings(max_examples=400)
+@given(st.one_of(st.binary(max_size=64), _pgm_like()))
+def test_load_pgm_raises_only_pgm_error(data):
+    try:
+        image = load_pgm(data)
+    except PgmError:
+        return
+    assert load_pgm(save_pgm(image)) == image
+
+
+@st.composite
+def _stego_like(draw):
+    """A stego image of a random payload with some pixels overwritten."""
+    width, height = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    pixels = bytearray(draw(st.binary(min_size=width * height, max_size=width * height)))
+    cover = GrayImage(width, height, bytes(pixels))
+    _, net = capacity(cover, TABLE)
+    if net and draw(st.booleans()):
+        payload = draw(st.binary(max_size=net))
+        pixels[:] = apvd_embed_image(cover, payload, TABLE).stego.pixels
+    for _ in range(draw(st.integers(0, 3))):
+        pixels[draw(st.integers(0, len(pixels) - 1))] = draw(st.integers(0, 255))
+    return GrayImage(width, height, bytes(pixels))
+
+
+@settings(max_examples=300)
+@given(_stego_like())
+def test_extractors_raise_only_payload_errors(image):
+    for table in TABLES:
+        for extract in (
+            lambda: apvd_extract_image(image, table),
+            lambda: deframe_payload(pvd_extract_image(image.pixels, table)),
+        ):
+            try:
+                extract()
+            except PayloadError:
+                pass
+
+
+def _embed_stream(stream: bytes, adaptive: bool) -> GrayImage:
+    """A stego image carrying any stream, through the reference loop."""
+    cover = GrayImage(64, 2, bytes([128] * 128))
+    stego, _, bits = _reference_embed(cover, stream, TABLE, adaptive)
+    assert bits == 8 * len(stream)
+    return GrayImage(cover.width, cover.height, bytes(stego))
+
+
+@pytest.mark.parametrize("adaptive", [True, False])
+def test_extract_error_classes(adaptive):
+    def extract(image):
+        if adaptive:
+            return apvd_extract_image(image, TABLE)
+        return deframe_payload(pvd_extract_image(image.pixels, TABLE))
+
+    # the header declares more bits than the 64 blocks of 3 bits hold
+    with pytest.raises(TruncatedPayload):
+        extract(_embed_stream((1000).to_bytes(4, "big") + b"\x00", adaptive))
+    # a declared bit count that is not a multiple of 8
+    with pytest.raises(PayloadError) as info:
+        extract(_embed_stream((7).to_bytes(4, "big") + b"\xfe", adaptive))
+    assert not isinstance(info.value, TruncatedPayload)
+    # and a well-formed stream comes back
+    assert extract(_embed_stream(frame_payload(b"ok"), adaptive)) == b"ok"
