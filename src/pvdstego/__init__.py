@@ -26,7 +26,7 @@ from .codec import (
     frame_payload,
 )
 from .imagery import GrayImage, PgmError, block_sequence, load_pgm, save_pgm, synthetic_cover
-from .metrics import ComparisonRow, QualityReport, capacity, compare, psnr
+from .metrics import ComparisonRow, capacity, compare
 from .pvd import (
     PvdResult,
     embed_pair,
@@ -46,7 +46,6 @@ __all__ = [
     "PayloadError",
     "PgmError",
     "PvdResult",
-    "QualityReport",
     "Range",
     "RangeTable",
     "TruncatedPayload",
@@ -64,7 +63,6 @@ __all__ = [
     "frame_payload",
     "load_pgm",
     "mark_with_case",
-    "psnr",
     "pvd_embed_image",
     "pvd_extract_image",
     "read_flag_and_adjust",

@@ -7,8 +7,9 @@ an odd trailing pixel belongs to no block and is never modified.
 """
 
 import random
+import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 
 class PgmError(ValueError):
@@ -30,14 +31,6 @@ class GrayImage:
             raise ValueError(
                 f"pixel count {len(self.pixels)} does not match {self.width}x{self.height}"
             )
-
-    @classmethod
-    def from_pixels(cls, width: int, height: int, pixels: Sequence[int]) -> "GrayImage":
-        """Build an image from any integer sequence, validating [0, 255]."""
-        bad = [v for v in pixels if not 0 <= v <= 255]
-        if bad:
-            raise ValueError(f"pixel value {bad[0]} outside [0, 255]")
-        return cls(width, height, bytes(pixels))
 
 
 class BlockIndex(NamedTuple):
@@ -68,81 +61,73 @@ def block_sequence(img: GrayImage) -> Iterator[tuple[BlockIndex, tuple[int, int]
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
 
+# a comment to the end of its line, or a token; whatever neither matches
+# is whitespace
+_TOKEN = re.compile(rb"#[^\r\n]*|[^ \t\r\n\x0b\x0c#]+")
 
-class _Scanner:
-    """Token scanner over PGM header/ascii data, skipping '#' comments."""
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def skip_separators(self):
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            c = self.data[self.pos : self.pos + 1]
-            if c in (b"#",):
-                while self.pos < n and data[self.pos : self.pos + 1] not in (b"\n", b"\r"):
-                    self.pos += 1
-            elif c in _WHITESPACE:
-                self.pos += 1
-            else:
-                return
-
-    def token(self, what: str) -> bytes:
-        self.skip_separators()
-        start = self.pos
-        n = len(self.data)
-        while self.pos < n and self.data[self.pos : self.pos + 1] not in _WHITESPACE:
-            if self.data[self.pos : self.pos + 1] == b"#":
-                break
-            self.pos += 1
-        if self.pos == start:
-            raise PgmError(f"truncated header: missing {what}")
-        return self.data[start : self.pos]
-
-    def int_token(self, what: str) -> int:
-        tok = self.token(what)
-        if not tok.isdigit():
-            raise PgmError(f"malformed {what}: {tok!r}")
-        return int(tok)
+def _number(match, what: str) -> int:
+    """The value of a decimal token; leading zeros are allowed."""
+    if match is None:
+        raise PgmError(f"truncated header: missing {what}")
+    token = match[0]
+    if not token.isdigit():
+        raise PgmError(f"malformed {what}: {token!r}")
+    return int(token)
 
 
 def load_pgm(data: bytes) -> GrayImage:
-    """Decode a P2 (ascii) or P5 (binary) PGM with maxval 255."""
-    sc = _Scanner(data)
-    magic = sc.token("magic number")
-    if magic not in (b"P2", b"P5"):
-        raise PgmError(f"unsupported magic {magic!r}, expected P2 or P5")
-    width = sc.int_token("width")
-    height = sc.int_token("height")
+    """Decode a P2 (ascii) or P5 (binary) PGM with maxval 255.
+
+    Tokens are runs of non-whitespace bytes; a '#' starts a comment that
+    runs to the end of its line, anywhere in the header or the P2 raster.
+    """
+    try:
+        return _decode_pgm(data)
+    except PgmError:
+        raise
+    except ValueError:  # int() or str() of a number past sys.get_int_max_str_digits()
+        raise PgmError("number too long to convert") from None
+
+
+def _decode_pgm(data: bytes) -> GrayImage:
+    tokens = (m for m in _TOKEN.finditer(data) if data[m.start()] != 35)  # 35: "#"
+    magic = next(tokens, None)
+    if magic is None:
+        raise PgmError("truncated header: missing magic number")
+    if magic[0] not in (b"P2", b"P5"):
+        raise PgmError(f"unsupported magic {magic[0]!r}, expected P2 or P5")
+    width = _number(next(tokens, None), "width")
+    height = _number(next(tokens, None), "height")
     if width == 0 or height == 0:
         raise PgmError(f"zero image dimension: {width}x{height}")
-    maxval = sc.int_token("maxval")
+    last = next(tokens, None)
+    maxval = _number(last, "maxval")
     if maxval != 255:
         raise PgmError(f"unsupported maxval {maxval}, only 255 is supported")
     count = width * height
 
-    if magic == b"P5":
+    if magic[0] == b"P5":
         # exactly one whitespace byte separates maxval from the raster
-        if sc.pos >= len(data) or data[sc.pos : sc.pos + 1] not in _WHITESPACE:
+        start = last.end() + 1
+        if start > len(data) or data[start - 1] not in _WHITESPACE:
             raise PgmError("missing whitespace after maxval")
-        sc.pos += 1
-        raster = data[sc.pos : sc.pos + count]
+        raster = data[start : start + count]
         if len(raster) < count:
             raise PgmError(f"truncated pixel data: got {len(raster)} of {count} bytes")
-        trailer = data[sc.pos + count :]
-        if trailer.strip(_WHITESPACE):
+        if data[start + count :].strip(_WHITESPACE):
             raise PgmError("trailing data after pixel raster")
         return GrayImage(width, height, raster)
 
     values = bytearray()
-    for _ in range(count):
-        v = sc.int_token("pixel value")
-        if v > 255:
-            raise PgmError(f"pixel value {v} exceeds maxval 255")
-        values.append(v)
-    sc.skip_separators()
-    if sc.pos != len(data):
+    for _, match in zip(range(count), tokens):
+        value = _number(match, "pixel value")
+        if value > 255:
+            raise PgmError(f"pixel value {value} exceeds maxval 255")
+        values.append(value)
+    if len(values) < count:
+        raise PgmError("truncated header: missing pixel value")
+    if next(tokens, None) is not None:
         raise PgmError("trailing data after pixel raster")
     return GrayImage(width, height, bytes(values))
 

@@ -12,14 +12,6 @@ PEAK_SQUARED = 255 * 255
 
 
 @dataclass(frozen=True)
-class QualityReport:
-    mse: float
-    psnr_db: float  # math.inf for identical images
-    max_abs_diff: int
-    changed_pixel_count: int
-
-
-@dataclass(frozen=True)
 class ComparisonRow:
     cover: str
     method: str
@@ -42,22 +34,6 @@ def mse_psnr(a: Sequence[int], b: Sequence[int]) -> tuple[float, float]:
         return 0.0, math.inf
     n = len(a)
     return ssd / n, 10.0 * math.log10(PEAK_SQUARED * n / ssd)
-
-
-def psnr(a: GrayImage, b: GrayImage) -> QualityReport:
-    """Quality of image b relative to a (symmetric); dimensions must match."""
-    if (a.width, a.height) != (b.width, b.height):
-        raise ValueError(
-            f"dimension mismatch: {a.width}x{a.height} vs {b.width}x{b.height}"
-        )
-    mse, psnr_db = mse_psnr(a.pixels, b.pixels)
-    diffs = [abs(x - y) for x, y in zip(a.pixels, b.pixels)]
-    return QualityReport(
-        mse=mse,
-        psnr_db=psnr_db,
-        max_abs_diff=max(diffs),
-        changed_pixel_count=sum(1 for d in diffs if d),
-    )
 
 
 def format_db(value: float) -> str:

@@ -19,7 +19,7 @@ from itertools import repeat
 from operator import sub
 from typing import Callable, Sequence
 
-from .codec import CapacityError, RangeTable, collect_frame, read_chunks
+from .codec import CapacityError, PayloadError, RangeTable, collect_frame, read_chunks
 from .imagery import GrayImage
 from .metrics import capacity
 
@@ -137,9 +137,13 @@ def pvd_extract_image(stego: Sequence[int], table: RangeTable) -> bytes:
     """Read a (possibly wide) raster until its framed stream is complete.
 
     Returns the bytes holding the header and the declared payload bits,
-    for codec.deframe_payload.
+    for codec.deframe_payload.  A pair further apart than 255, which no
+    embed produces, raises PayloadError.
     """
-    return extract_blocks(stego, table, extract_pair)
+    try:
+        return extract_blocks(stego, table, extract_pair)
+    except IndexError:  # a difference past the end of the table's lookups
+        raise PayloadError("pixel pair differs by more than 255") from None
 
 
 def clamp_raster(stego: Sequence[int]) -> bytes:

@@ -141,6 +141,19 @@ def test_malformed_pgm(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["capacity", "embed", "extract"])
+def test_oversized_header_number(tmp_path, command, capsys):
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(b"P5\n" + b"1" * 5000 + b" 1\n255\n\x00")
+    argv = [command, "--cover", str(bad)]
+    if command != "capacity":
+        argv += ["--out", str(tmp_path / "out")]
+    if command == "embed":
+        argv += ["--payload", str(_write_payload(tmp_path, b"x"))]
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -10,7 +10,6 @@ from pvdstego.metrics import (
     compare,
     format_db,
     mse_psnr,
-    psnr,
     rows_to_csv,
     rows_to_table,
 )
@@ -44,25 +43,6 @@ def test_mse_psnr_symmetric_and_wide_safe():
 def test_mse_psnr_length_mismatch():
     with pytest.raises(ValueError):
         mse_psnr([1, 2], [1])
-
-
-def test_quality_report_fields():
-    a = GrayImage(2, 1, bytes([100, 100]))
-    b = GrayImage(2, 1, bytes([100, 105]))
-    report = psnr(a, b)
-    assert report.mse == 12.5
-    assert report.max_abs_diff == 5
-    assert report.changed_pixel_count == 1
-    identical = psnr(a, a)
-    assert math.isinf(identical.psnr_db)
-    assert identical.changed_pixel_count == 0
-
-
-def test_psnr_dimension_mismatch():
-    a = GrayImage(2, 1, bytes(2))
-    b = GrayImage(1, 2, bytes(2))
-    with pytest.raises(ValueError):
-        psnr(a, b)
 
 
 def test_format_db():

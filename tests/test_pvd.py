@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from pvdstego.codec import (
     CapacityError,
+    PayloadError,
     TruncatedPayload,
     build_range_table,
     deframe_payload,
@@ -154,6 +155,12 @@ def test_extract_drops_tail_padding():
     # the last two blocks hold the message's final bits; without them it is cut short
     with pytest.raises(TruncatedPayload):
         pvd_extract_image(result.stego[:26], TABLE)
+
+
+def test_extract_rejects_pairs_beyond_any_difference():
+    # the wide window's extremes are 383 apart, past the table's 0..255
+    with pytest.raises(PayloadError):
+        pvd_extract_image([-64, 319] * 40, TABLE)
 
 
 def test_clamp_raster():
