@@ -35,8 +35,10 @@ Branch and mark-case labels used in reports:
 """
 
 from dataclasses import dataclass
+from itertools import accumulate, compress
+from operator import sub
 
-from .codec import RangeTable, deframe_payload, frame_payload
+from .codec import HEADER_BITS, RangeTable, deframe_payload, frame_payload
 from .imagery import GrayImage
 from .metrics import mse_psnr
 from .pvd import adjust_pair, check_capacity, embed_blocks, extract_blocks
@@ -169,45 +171,70 @@ def extract_block_value(first: int, second: int, table: RangeTable) -> tuple[int
 
 @dataclass
 class ApvdReport:
-    """One embed run: stego image plus branch and quality statistics."""
+    """One embed run: stego image plus branch and quality statistics.
+
+    ``lossy_corners`` lists each lossy-corner block as (block ordinal,
+    index of the payload byte it corrupts, or None for a header bit).
+    """
 
     stego: GrayImage
     bits_embedded: int
     blocks_used: int
     branch_counts: dict[str, int]
     mark_case_counts: dict[str, int]
-    lossy_corner_count: int
+    lossy_corners: list[tuple[int, int | None]]
     mse: float
     psnr_db: float
 
+    @property
+    def lossy_corner_count(self) -> int:
+        return len(self.lossy_corners)
 
-def _embed_marked(
-    p: int, q: int, chunk: int, table: RangeTable
-) -> tuple[int, int, tuple[str, str]]:
-    pixels, flag, branch = embed_block_values(p, q, chunk, table)
-    (first, second), case = mark_with_case(pixels, flag)
-    return first, second, (branch, case)
+
+def _corrupted_bytes(pixels: bytes, blocks: list[int], table: RangeTable) -> list[int | None]:
+    """The payload byte each lossy-corner block corrupts (None: a header bit).
+
+    A corner's chunk is all ones and extraction flips only its last bit.
+    For block k that is framed-stream bit (t of blocks 0..k, summed) - 1.
+    """
+    if not blocks:
+        return []
+    selected = bytearray(blocks[-1] + 1)
+    for block in blocks:
+        selected[block] = 1
+    view = memoryview(pixels)  # strided views: no copy of the raster
+    widths = map(table.t.__getitem__, map(abs, map(sub, view[0::2], view[1::2])))
+    ends = compress(accumulate(widths), selected)
+    return [(end - 1 - HEADER_BITS) // 8 if end > HEADER_BITS else None for end in ends]
 
 
 def apvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> ApvdReport:
     """Frame the payload and embed it block by block; stego stays 8-bit."""
     framed = frame_payload(payload)
     bits = check_capacity(cover, framed, table)
-    stego, counts = embed_blocks(cover.pixels, framed, table, _embed_marked)
+    stego: list[int] = []
     branch_counts = dict.fromkeys(BRANCHES, 0)
     mark_case_counts: dict[str, int] = {}
-    for (branch, case), n in counts.items():
-        branch_counts[branch] += n
-        mark_case_counts[case] = mark_case_counts.get(case, 0) + n
+    corner_blocks = []
+    for pixels, flag, branch in embed_blocks(cover.pixels, framed, table, embed_block_values):
+        pixels, case = mark_with_case(pixels, flag)
+        if case == LOSSY_MARK_CASE:
+            corner_blocks.append(len(stego) // 2)
+        stego += pixels
+        branch_counts[branch] += 1
+        mark_case_counts[case] = mark_case_counts.get(case, 0) + 1
+    blocks_used = len(stego) // 2
+    stego += cover.pixels[len(stego) :]
     image = GrayImage(cover.width, cover.height, bytes(stego))
     mse, psnr_db = mse_psnr(cover.pixels, image.pixels)
+    corrupted = _corrupted_bytes(cover.pixels, corner_blocks, table)
     return ApvdReport(
         stego=image,
         bits_embedded=bits,
-        blocks_used=sum(counts.values()),
+        blocks_used=blocks_used,
         branch_counts=branch_counts,
         mark_case_counts=mark_case_counts,
-        lossy_corner_count=mark_case_counts.get(LOSSY_MARK_CASE, 0),
+        lossy_corners=list(zip(corner_blocks, corrupted)),
         mse=mse,
         psnr_db=psnr_db,
     )

@@ -31,6 +31,7 @@ EXIT_IO = 3
 EXIT_SELFTEST = 4
 
 DEFAULT_WIDTHS_TEXT = "8,8,16,32,64,128"
+MAX_COMPARE_SIZE = 4096  # a synthetic cover holds size**2 pixels in memory
 
 
 class _UsageError(Exception):
@@ -75,7 +76,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--cover", help="cover PGM file or directory of .pgm files; omit for bundled synthetic covers")
     p.add_argument("--payload", help="payload file; omit for a seeded random payload at full capacity")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--size", type=int, default=512, help="edge length of bundled synthetic covers")
+    p.add_argument(
+        "--size",
+        type=int,
+        default=512,
+        help=f"edge length of bundled synthetic covers, 1 to {MAX_COMPARE_SIZE}",
+    )
     p.add_argument("--format", choices=("csv", "table", "json"), default="table")
     add_common(p)
 
@@ -123,6 +129,9 @@ def cmd_embed(args) -> int:
             branch_counts=result.branch_counts,
             mark_case_counts=result.mark_case_counts,
             lossy_corner_count=result.lossy_corner_count,
+            lossy_corners=[
+                {"block": block, "payload_byte": byte} for block, byte in result.lossy_corners
+            ],
             violations=0,
             mse=round(result.mse, 6),
             psnr_db=_json_db(result.psnr_db),
@@ -188,8 +197,8 @@ def cmd_capacity(args) -> int:
 def _compare_covers(args) -> list[tuple[str, GrayImage]]:
     if not args.cover:
         size = args.size
-        if size < 1:
-            raise _UsageError(f"--size must be a positive integer, got {size}")
+        if not 1 <= size <= MAX_COMPARE_SIZE:
+            raise _UsageError(f"--size must be between 1 and {MAX_COMPARE_SIZE}, got {size}")
         return [
             (kind, synthetic_cover(kind, size, size, seed=args.seed))
             for kind in SYNTHETIC_KINDS

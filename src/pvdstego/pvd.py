@@ -15,11 +15,12 @@ decodes blocks until the framed stream is complete.
 """
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import sub
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .codec import CapacityError, PayloadError, RangeTable, collect_frame, read_chunks
+from .codec import CapacityError, PayloadError, RangeTable, build_range_table
+from .codec import collect_frame, read_chunks
 from .imagery import GrayImage
 from .metrics import capacity
 
@@ -32,6 +33,12 @@ def wide_window(table: RangeTable) -> tuple[int, int]:
     """
     h = max(table.widths) // 2
     return -h, 255 + h
+
+
+_CLAMP_LOW, _CLAMP_HIGH = wide_window(build_range_table((256,)))
+# both indexed by the value itself, so a negative value counts back from the end
+_CLAMPED = tuple(range(256)) + (255,) * (_CLAMP_HIGH - 255) + (0,) * -_CLAMP_LOW
+_OUTSIDE = (0,) * 256 + (1,) * (len(_CLAMPED) - 256)  # 1 outside [0, 255]
 
 
 def adjust_pair(p: int, q: int, d: int, d_new: int) -> tuple[int, int]:
@@ -60,31 +67,23 @@ def extract_pair(first: int, second: int, table: RangeTable) -> tuple[int, int]:
     return d - table.lower[d], table.t[d]
 
 
-EmbedBlock = Callable[[int, int, int, RangeTable], tuple[int, int, object]]
+EmbedBlock = Callable[[int, int, int, RangeTable], object]
 ExtractBlock = Callable[[int, int, RangeTable], tuple[int, int]]
 
 
 def embed_blocks(
     pixels: Sequence[int], stream: bytes, table: RangeTable, embed_block: EmbedBlock
-) -> tuple[list[int], dict]:
-    """The embed walk: feed each block its chunk until the stream is out.
+) -> Iterator:
+    """The embed walk: ``embed_block(p, q, chunk, table)`` over each block.
 
-    ``embed_block(p, q, chunk, table)`` returns the block's two stego
-    values and a label.  Returns the stego raster (blocks past the
-    stream and any odd trailing pixel copied verbatim) and how many
-    blocks got each label, in order of first appearance.  The caller
-    has checked that the stream fits.
+    Returns the lazy map of the kernel over the blocks in order, ending
+    when the stream is out; each scheme folds it into its own raster and
+    copies the rest of the cover.  The caller has checked that the
+    stream fits.
     """
     firsts, seconds = pixels[0::2], pixels[1::2]
     widths = map(table.t.__getitem__, map(abs, map(sub, firsts, seconds)))
-    chunks = read_chunks(stream, widths)
-    stego: list[int] = []
-    counts: dict = {}
-    for first, second, label in map(embed_block, firsts, seconds, chunks, repeat(table)):
-        stego += first, second
-        counts[label] = counts.get(label, 0) + 1
-    stego += pixels[len(stego) :]
-    return stego, counts
+    return map(embed_block, firsts, seconds, read_chunks(stream, widths), repeat(table))
 
 
 def extract_blocks(pixels: Sequence[int], table: RangeTable, extract_block: ExtractBlock) -> bytes:
@@ -114,12 +113,6 @@ class PvdResult:
     blocks_used: int
 
 
-def _embed_counted(p: int, q: int, chunk: int, table: RangeTable) -> tuple[int, int, int]:
-    """embed_pair, labelled with how many of the two values left [0, 255]."""
-    first, second = embed_pair(p, q, chunk, table)
-    return first, second, (not 0 <= first <= 255) + (not 0 <= second <= 255)
-
-
 def pvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> PvdResult:
     """Embed a stream block by block until it is exhausted.
 
@@ -128,9 +121,13 @@ def pvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> PvdR
     trailing pixel are copied verbatim.
     """
     needed = check_capacity(cover, payload, table)
-    stego, counts = embed_blocks(cover.pixels, payload, table, _embed_counted)
-    violations = sum(n * label for label, n in counts.items())
-    return PvdResult(stego, violations, needed, sum(counts.values()))
+    stego = list(chain.from_iterable(embed_blocks(cover.pixels, payload, table, embed_pair)))
+    blocks = len(stego) // 2
+    stego += cover.pixels[len(stego) :]
+    violations = 0
+    if stego and (min(stego) < 0 or max(stego) > 255):
+        violations = sum(map(_OUTSIDE.__getitem__, stego))
+    return PvdResult(stego, violations, needed, blocks)
 
 
 def pvd_extract_image(stego: Sequence[int], table: RangeTable) -> bytes:
@@ -150,8 +147,15 @@ def clamp_raster(stego: Sequence[int]) -> bytes:
     """Clamp a wide raster into [0, 255] for PGM persistence.
 
     Lossy whenever violations are present; extraction from a clamped
-    raster can return corrupted data.
+    raster can return corrupted data.  Accepts values in [-128, 383],
+    the wide window of the widest range table, and raises ValueError
+    outside it.
     """
-    if not stego or (min(stego) >= 0 and max(stego) <= 255):
+    if not stego:
+        return b""
+    low, high = min(stego), max(stego)
+    if low >= 0 and high <= 255:
         return bytes(stego)
-    return bytes(min(255, max(0, v)) for v in stego)
+    if low < _CLAMP_LOW or high > _CLAMP_HIGH:
+        raise ValueError(f"raster values {low}..{high} leave [{_CLAMP_LOW}, {_CLAMP_HIGH}]")
+    return bytes(map(_CLAMPED.__getitem__, stego))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from pvdstego.apvd import (
 )
 from pvdstego.codec import CapacityError, PayloadError, build_range_table
 from pvdstego.imagery import GrayImage, synthetic_cover
+from pvdstego.metrics import capacity
 
 TABLE = build_range_table()
 WIDE_TABLE = build_range_table((256,))
@@ -177,9 +180,33 @@ def test_image_lossy_corner_documented():
     report = apvd_embed_image(cover, b"\xff", WIDE_TABLE)
     assert report.lossy_corner_count == 1
     assert report.mark_case_counts[LOSSY_MARK_CASE] == 1
+    assert report.lossy_corners == [(4, 0)]  # block 4 holds payload byte 0
     assert report.stego.pixels[8:] == bytes([0, 255])
     # extraction comes back off by exactly one in that byte
     assert apvd_extract_image(report.stego, WIDE_TABLE) == b"\xfe"
+
+
+def test_lossy_corner_in_the_header_names_no_payload_byte():
+    # one bit per block: block 28 carries header bit 28, the only 1 of "8 bits"
+    table = build_range_table((2,) * 128)
+    cover = GrayImage(80, 1, bytes([130, 130] * 28 + [0, 254] + [130, 130] * 11))
+    report = apvd_embed_image(cover, b"\x00", table)
+    assert report.lossy_corners == [(28, None)]
+    assert apvd_extract_image(report.stego, table) == b""  # the header now reads 0 bits
+
+
+@pytest.mark.parametrize("kind", ["checkerboard", "noise"])
+@pytest.mark.parametrize("seed", range(4))
+def test_lossy_corners_name_every_corrupted_byte(kind, seed):
+    cover = synthetic_cover(kind, width=48, height=48, seed=seed)
+    _, net = capacity(cover, TABLE)
+    payload = random.Random(seed).randbytes(net)
+    report = apvd_embed_image(cover, payload, TABLE)
+    recovered = apvd_extract_image(report.stego, TABLE)
+    assert len(recovered) == len(payload)
+    wrong = {i for i, (got, sent) in enumerate(zip(recovered, payload)) if got != sent}
+    assert {byte for _, byte in report.lossy_corners} == wrong
+    assert len(report.lossy_corners) == report.mark_case_counts.get(LOSSY_MARK_CASE, 0)
 
 
 def test_image_capacity_refusal():

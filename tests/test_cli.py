@@ -2,11 +2,13 @@ import json
 
 import pytest
 
+from pvdstego import cli
 from pvdstego.cli import (
     EXIT_CAPACITY,
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_COMPARE_SIZE,
     main,
 )
 from pvdstego.codec import build_range_table
@@ -48,6 +50,7 @@ def test_embed_extract_round_trip(tmp_path, cover_path, capsys):
     assert sidecar["bits_embedded"] == 32 + 8 * 28
     assert sum(sidecar["branch_counts"].values()) == sidecar["blocks_used"]
     assert sidecar["lossy_corner_count"] == 0
+    assert sidecar["lossy_corners"] == []
 
     assert main([
         "extract", "--method", "apvd",
@@ -275,6 +278,37 @@ def test_selftest_single_bit_table(capsys):
 def test_compare_rejects_non_positive_size(size, capsys):
     assert main(["compare", "--size", size]) == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
+
+
+def test_compare_rejects_oversized_size_before_building_covers(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("synthetic_cover called for an oversized --size")
+
+    monkeypatch.setattr(cli, "synthetic_cover", refuse)
+    assert main(["compare", "--size", str(MAX_COMPARE_SIZE + 1)]) == EXIT_USAGE
+    assert f"between 1 and {MAX_COMPARE_SIZE}" in capsys.readouterr().err
+
+
+def test_embed_sidecar_names_lossy_corner_bytes(tmp_path, capsys):
+    # one bit per block: blocks 28 and 39 carry the 1s of header "8 bits" and of b"\x01"
+    pixels = [130, 130] * 40
+    pixels[56:58] = pixels[78:80] = [0, 254]
+    cover_file = tmp_path / "corners.pgm"
+    cover_file.write_bytes(save_pgm(GrayImage(80, 1, bytes(pixels))))
+    payload = _write_payload(tmp_path, b"\x01")
+    stego = tmp_path / "stego.pgm"
+
+    assert main([
+        "embed", "--cover", str(cover_file), "--payload", str(payload), "--out", str(stego),
+        "--widths", ",".join(["2"] * 128),
+    ]) == EXIT_OK
+    assert "2 block(s) hit the lossy (0,255) corner" in capsys.readouterr().err
+    sidecar = json.loads((tmp_path / "stego.pgm.json").read_text())
+    assert sidecar["lossy_corner_count"] == 2
+    assert sidecar["lossy_corners"] == [
+        {"block": 28, "payload_byte": None},
+        {"block": 39, "payload_byte": 0},
+    ]
 
 
 def test_selftest_jobs_bounded_by_cpus_and_spans(monkeypatch, capsys):

@@ -167,3 +167,13 @@ def test_clamp_raster():
     assert clamp_raster([-3, 0, 128, 255, 310]) == bytes([0, 0, 128, 255, 255])
     assert clamp_raster([0, 7, 255]) == bytes([0, 7, 255])
     assert clamp_raster([]) == b""
+
+
+def test_clamp_raster_domain_is_the_widest_wide_window():
+    # [-128, 383] is wide_window((256,)), checked in test_wide_window_bounds
+    assert clamp_raster([-128, 5, 383]) == bytes([0, 5, 255])
+    assert clamp_raster([-1, 256]) == bytes([0, 255])
+    # past the window a table lookup would wrap or overrun: refuse instead
+    for value in (-129, 384, -200):
+        with pytest.raises(ValueError):
+            clamp_raster([value, 7])
