@@ -152,7 +152,9 @@ def cmd_embed(args) -> int:
                 "clamping for PGM output, extraction may be corrupt",
                 file=sys.stderr,
             )
-        stego_bytes = save_pgm(GrayImage(cover.width, cover.height, clamp_raster(raster)))
+        # pvd_embed_image has already scanned the raster: without violations it is in range
+        pixels = clamp_raster(raster) if result.violations else bytes(raster)
+        stego_bytes = save_pgm(GrayImage(cover.width, cover.height, pixels))
         mse, psnr_db = metrics.mse_psnr(cover.pixels, raster)
         report.update(
             bits_embedded=result.bits_embedded,

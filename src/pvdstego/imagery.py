@@ -64,6 +64,15 @@ _WHITESPACE = b" \t\r\n\x0b\x0c"
 # a comment to the end of its line, or a token; whatever neither matches
 # is whitespace
 _TOKEN = re.compile(rb"#[^\r\n]*|[^ \t\r\n\x0b\x0c#]+")
+_COMMENT = re.compile(rb"#[^\r\n]*")
+
+# A P2 raster is decoded a window at a time, so that only one window's
+# words are alive at once.  A window is _WINDOW bytes plus the rest of
+# the token they end in, or whatever is left; a line end ends any
+# comment, so a window holding a '#' is extended to one.
+_WINDOW = 8192
+_CUT = re.compile(rb"(?s).{%d}[^ \t\r\n\x0b\x0c]*|.+" % _WINDOW)
+_LINE_REST = re.compile(rb"[^\r\n]*")
 
 
 def _number(match, what: str) -> int:
@@ -119,17 +128,40 @@ def _decode_pgm(data: bytes) -> GrayImage:
             raise PgmError("trailing data after pixel raster")
         return GrayImage(width, height, raster)
 
+    return GrayImage(width, height, bytes(_p2_raster(data, last.end(), count)))
+
+
+def _p2_raster(data: bytes, pos: int, count: int) -> bytearray:
+    """The ``count`` pixel values of the P2 raster that starts at ``pos``."""
     values = bytearray()
-    for _, match in zip(range(count), tokens):
-        value = _number(match, "pixel value")
-        if value > 255:
-            raise PgmError(f"pixel value {value} exceeds maxval 255")
-        values.append(value)
+    while pos < len(data):
+        window = _CUT.match(data, pos)[0]
+        pos += len(window)
+        if b"#" in window:  # a comment glued to a word ends it, as whitespace does
+            rest = _LINE_REST.match(data, pos)[0]
+            pos += len(rest)
+            window = _COMMENT.sub(b" ", window + rest)
+        words = window.split()  # splits on exactly the six bytes of _WHITESPACE
+        spare = count - len(values)
+        if len(words) <= spare and window.translate(None, _WHITESPACE).isdigit():
+            try:
+                values.extend(map(int, words))
+                continue
+            except ValueError:  # a value past 255 or int()'s digit limit: the walk raises
+                pass
+        # a window that fails holds a bad word, or too many, or none: walk
+        # its words in order to raise the first error
+        for word in words[:spare]:
+            if not word.isdigit():
+                raise PgmError(f"malformed pixel value: {word!r}")
+            value = int(word)  # past the digit limit, load_pgm reports the ValueError
+            if value > 255:
+                raise PgmError(f"pixel value {value} exceeds maxval 255")
+        if len(words) > spare:
+            raise PgmError("trailing data after pixel raster")
     if len(values) < count:
         raise PgmError("truncated header: missing pixel value")
-    if next(tokens, None) is not None:
-        raise PgmError("trailing data after pixel raster")
-    return GrayImage(width, height, bytes(values))
+    return values
 
 
 def save_pgm(img: GrayImage, variant: str = "binary") -> bytes:

@@ -80,7 +80,12 @@ def test_embed_pvd_warns_and_clamps(tmp_path, capsys):
     assert sidecar["clamped"] is True
 
 
-def test_embed_pvd_round_trip_without_violations(tmp_path, capsys):
+def test_embed_pvd_round_trip_without_violations(tmp_path, monkeypatch, capsys):
+    # pvd_embed_image has already found no violations, so no second scan runs
+    def refuse(raster):
+        raise AssertionError("clamp_raster called on a raster without violations")
+
+    monkeypatch.setattr(cli, "clamp_raster", refuse)
     # mid-gray flat cover: d' <= 7 keeps every stego value near 128
     cover = GrayImage(48, 48, bytes([128] * (48 * 48)))
     cover_file = tmp_path / "smooth.pgm"

@@ -1,9 +1,12 @@
 import random
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pvdstego import imagery
 from pvdstego.imagery import (
     SYNTHETIC_KINDS,
     GrayImage,
@@ -170,3 +173,148 @@ def test_synthetic_covers_deterministic():
 def test_synthetic_unknown_kind():
     with pytest.raises(ValueError):
         synthetic_cover("marble")
+
+
+# --- P2 windows against the token-at-a-time reference -----------------------
+
+_REFERENCE_TOKEN = re.compile(rb"#[^\r\n]*|[^ \t\r\n\x0b\x0c#]+")
+
+
+def _reference_load_p2(data: bytes) -> GrayImage:
+    """The P2 decoder the windowed one replaced: one regex match per token."""
+    try:
+        tokens = (m[0] for m in _REFERENCE_TOKEN.finditer(data) if m[0][:1] != b"#")
+
+        def number(token, what):
+            if token is None:
+                raise PgmError(f"truncated header: missing {what}")
+            if not token.isdigit():
+                raise PgmError(f"malformed {what}: {token!r}")
+            return int(token)
+
+        magic = next(tokens, None)
+        if magic is None:
+            raise PgmError("truncated header: missing magic number")
+        if magic != b"P2":
+            raise PgmError(f"unsupported magic {magic!r}, expected P2 or P5")
+        width = number(next(tokens, None), "width")
+        height = number(next(tokens, None), "height")
+        if width == 0 or height == 0:
+            raise PgmError(f"zero image dimension: {width}x{height}")
+        maxval = number(next(tokens, None), "maxval")
+        if maxval != 255:
+            raise PgmError(f"unsupported maxval {maxval}, only 255 is supported")
+        values = bytearray()
+        for _, token in zip(range(width * height), tokens):
+            value = number(token, "pixel value")
+            if value > 255:
+                raise PgmError(f"pixel value {value} exceeds maxval 255")
+            values.append(value)
+        if len(values) < width * height:
+            raise PgmError("truncated header: missing pixel value")
+        if next(tokens, None) is not None:
+            raise PgmError("trailing data after pixel raster")
+        return GrayImage(width, height, bytes(values))
+    except PgmError:
+        raise
+    except ValueError:  # int() past sys.get_int_max_str_digits()
+        raise PgmError("number too long to convert") from None
+
+
+def _outcome(load, data: bytes):
+    try:
+        return load(data)
+    except PgmError as error:
+        return str(error)
+
+
+# each hazard is laid across a window cut of the decoder
+_HAZARDS = [
+    b"17",
+    b"255",
+    b"0007",
+    b"256",
+    b"x9",
+    b"+1",
+    b"# comment 1 2 3\n",
+    b"# a comment whose line ends in CR 4 5\r",
+    b"12#glued comment 6\r\n",
+    b"#",
+    b"\r\r\r",
+    b"\x0b\x0c\x0b",
+    b"7" * 4400,
+    b"0" * 4399 + b"9",
+]
+
+
+def _window_end(body: bytes, start: int) -> int:
+    """Where the decoder ends the window that starts at ``start`` (for aiming only)."""
+    end = start + imagery._WINDOW
+    while end < len(body) and body[end] not in imagery._WHITESPACE:
+        end += 1
+    if b"#" in body[start:end]:
+        while end < len(body) and body[end] not in b"\r\n":
+            end += 1
+    return min(end, len(body))
+
+
+@st.composite
+def _p2_across_windows(draw):
+    """A P2 file of several windows with one hazard across each cut."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def filler(size):  # exactly ``size`` bytes of values and separators
+        out = bytearray()
+        while len(out) < size - 4:
+            out += str(rng.randrange(256)).encode()
+            out += rng.choice([b" ", b" ", b" ", b"\n", b"\r", b"\r\n", b"\t", b"\x0b", b"\x0c"])
+        return out + b" " * (size - len(out))
+
+    body = bytearray(b"\n")  # windows start right after the maxval token
+    start = 0
+    for _ in range(draw(st.integers(3, 4))):
+        hazard = draw(st.sampled_from(_HAZARDS))
+        lead = draw(st.integers(0, len(hazard)))  # hazard bytes before the cut
+        body += filler(start + imagery._WINDOW - lead - len(body))
+        body += hazard + rng.choice([b" ", b"\n", b"\r", b"\x0c"]) + filler(80) + b"\n"
+        start = _window_end(bytes(body), start)
+    body += filler(draw(st.integers(0, 200)))
+    count = sum(m[0][:1] != b"#" for m in _REFERENCE_TOKEN.finditer(body))
+    width = max(1, count + draw(st.sampled_from([-1, 0, 0, 0, 1])))
+    return b"P2\n%d 1\n255" % width + bytes(body)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_p2_across_windows())
+def test_windowed_p2_matches_token_reference(data):
+    assert _outcome(load_pgm, data) == _outcome(_reference_load_p2, data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"P2 2 2 255\n1 2 # row end\n3 4\n",
+        b"P2 2 1 255#c\n12#c\n7\n",
+        b"P2\r# c\r2 1\r255\r3\r4\r",
+        b"P2 1 1 255\n",
+        b"P2 1 1 255 300",
+        b"P2 2 1 255 1 x 300",
+        b"P2 1 1 255 1 junk",
+        b"P2 1 1 255 " + b"1" * 5000,
+    ],
+)
+def test_short_p2_matches_token_reference(data):
+    assert _outcome(load_pgm, data) == _outcome(_reference_load_p2, data)
+
+
+def test_p2_load_peak_memory_stays_below_the_file():
+    # decoding a window at a time keeps only one window's words alive, so
+    # the peak is the raster plus its final copy, not the words of the file
+    data = save_pgm(synthetic_cover("noise", 512, 512, seed=0), variant="ascii")
+    tracemalloc.start()
+    try:
+        load_pgm(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(data)
