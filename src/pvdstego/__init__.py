@@ -25,7 +25,7 @@ from .codec import (
     deframe_payload,
     frame_payload,
 )
-from .imagery import GrayImage, PgmError, block_sequence, load_pgm, save_pgm, synthetic_cover
+from .imagery import GrayImage, PgmError, load_pgm, save_pgm, synthetic_cover
 from .metrics import ComparisonRow, capacity, compare
 from .pvd import (
     PvdResult,
@@ -51,7 +51,6 @@ __all__ = [
     "TruncatedPayload",
     "apvd_embed_image",
     "apvd_extract_image",
-    "block_sequence",
     "build_range_table",
     "capacity",
     "compare",

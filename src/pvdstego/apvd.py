@@ -223,15 +223,15 @@ def apvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> Apv
         stego += pixels
         branch_counts[branch] += 1
         mark_case_counts[case] = mark_case_counts.get(case, 0) + 1
-    blocks_used = len(stego) // 2
-    stego += cover.pixels[len(stego) :]
-    image = GrayImage(cover.width, cover.height, bytes(stego))
-    mse, psnr_db = mse_psnr(cover.pixels, image.pixels)
+    walked = len(stego)
+    cover_view = memoryview(cover.pixels)  # slices of a view copy nothing
+    image = GrayImage(cover.width, cover.height, bytes(stego) + cover_view[walked:])
+    mse, psnr_db = mse_psnr(cover_view[:walked], stego, len(cover.pixels))
     corrupted = _corrupted_bytes(cover.pixels, corner_blocks, table)
     return ApvdReport(
         stego=image,
         bits_embedded=bits,
-        blocks_used=blocks_used,
+        blocks_used=walked // 2,
         branch_counts=branch_counts,
         mark_case_counts=mark_case_counts,
         lossy_corners=list(zip(corner_blocks, corrupted)),

@@ -8,6 +8,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import islice
 from pathlib import Path
 
 from . import metrics, oracle
@@ -145,17 +146,22 @@ def cmd_embed(args) -> int:
     else:
         framed = frame_payload(payload)
         result = pvd_embed_image(cover, framed, table)
-        raster = result.stego
         if result.violations:
             print(
                 f"warning: {result.violations} stego pixel(s) left [0,255]; "
                 "clamping for PGM output, extraction may be corrupt",
                 file=sys.stderr,
             )
-        # pvd_embed_image has already scanned the raster: without violations it is in range
-        pixels = clamp_raster(raster) if result.violations else bytes(raster)
+        # only the walked prefix differs from the cover, and pvd_embed_image
+        # has scanned it: without violations it is in range
+        walked = 2 * result.blocks_used
+        head = islice(result.stego, walked)
+        cover_view = memoryview(cover.pixels)
+        pixels = (clamp_raster(head) if result.violations else bytes(head)) + cover_view[walked:]
         stego_bytes = save_pgm(GrayImage(cover.width, cover.height, pixels))
-        mse, psnr_db = metrics.mse_psnr(cover.pixels, raster)
+        mse, psnr_db = metrics.mse_psnr(
+            cover_view[:walked], islice(result.stego, walked), len(cover.pixels)
+        )
         report.update(
             bits_embedded=result.bits_embedded,
             blocks_used=result.blocks_used,

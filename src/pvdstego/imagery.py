@@ -1,15 +1,15 @@
-"""Grayscale raster type, Netpbm PGM codec and the shared block order.
+"""Grayscale raster type and Netpbm PGM codec.
 
 Only 8-bit PGM (P2 ascii / P5 binary, maxval 255) is supported.  Both
 the embedders and the extractors walk the raster in flat row-major
-order, pairing consecutive pixels into non-overlapping two-pixel blocks;
-an odd trailing pixel belongs to no block and is never modified.
+order, pairing consecutive pixels into non-overlapping two-pixel blocks
+(``pixels[0::2]`` with ``pixels[1::2]``, a block may straddle a row
+end); an odd trailing pixel belongs to no block and is never modified.
 """
 
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
 
 
 class PgmError(ValueError):
@@ -31,30 +31,6 @@ class GrayImage:
             raise ValueError(
                 f"pixel count {len(self.pixels)} does not match {self.width}x{self.height}"
             )
-
-
-class BlockIndex(NamedTuple):
-    """Flat offsets of one two-pixel block."""
-
-    ordinal: int
-    first: int
-    second: int
-
-
-def block_count(img: GrayImage) -> int:
-    return (img.width * img.height) // 2
-
-
-def block_sequence(img: GrayImage) -> Iterator[tuple[BlockIndex, tuple[int, int]]]:
-    """Yield (index, (p, q)) for consecutive non-overlapping pixel pairs.
-
-    Pairs are formed over the whole flat raster, so a block may straddle
-    a row boundary; an odd final pixel is skipped.
-    """
-    px = img.pixels
-    for ordinal in range(block_count(img)):
-        first = 2 * ordinal
-        yield BlockIndex(ordinal, first, first + 1), (px[first], px[first + 1])
 
 
 # --- PGM codec -------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from operator import sub
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .codec import HEADER_BITS, RangeTable, frame_payload
 from .imagery import GrayImage
@@ -20,19 +21,21 @@ class ComparisonRow:
     violations: int
 
 
-def mse_psnr(a: Sequence[int], b: Sequence[int]) -> tuple[float, float]:
-    """MSE and PSNR between two equal-length intensity sequences.
+def mse_psnr(a: Iterable[int], b: Iterable[int], n: int | None = None) -> tuple[float, float]:
+    """MSE and PSNR between two images of ``n`` pixels, ``len(a)`` by default.
 
-    The squared-error sum is accumulated in exact integer arithmetic;
-    the only division happens at the end.  PSNR uses the 8-bit peak 255
-    and is math.inf for identical inputs.
+    ``a`` and ``b`` must hold the same number of values (ValueError
+    otherwise): the whole images, or only a prefix where they differ if
+    ``n`` counts the identical tail too.  The squared-error sum is
+    accumulated in exact integer arithmetic; the only division happens at
+    the end, so both forms give the same floats.  PSNR uses the 8-bit
+    peak 255 and is math.inf for identical inputs.
     """
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    ssd = sum((x - y) * (x - y) for x, y in zip(a, b))
+    if n is None:
+        n = len(a)
+    ssd = sum((x - y) * (x - y) for x, y in zip(a, b, strict=True))
     if ssd == 0:
         return 0.0, math.inf
-    n = len(a)
     return ssd / n, 10.0 * math.log10(PEAK_SQUARED * n / ssd)
 
 
@@ -70,7 +73,10 @@ def compare(
     base = pvd_embed_image(cover, framed, table)
     adaptive = apvd_embed_image(cover, payload, table)
     assert base.bits_embedded == adaptive.bits_embedded  # capacity parity
-    _, base_psnr = mse_psnr(cover.pixels, base.stego)
+    walked = 2 * base.blocks_used  # past it, base.stego is the cover's own bytes
+    _, base_psnr = mse_psnr(
+        memoryview(cover.pixels)[:walked], islice(base.stego, walked), len(cover.pixels)
+    )
     return [
         ComparisonRow(name, "pvd", net_bytes, base_psnr, base.violations),
         ComparisonRow(name, "apvd", net_bytes, adaptive.psnr_db, 0),

@@ -17,7 +17,7 @@ decodes blocks until the framed stream is complete.
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import sub
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .codec import CapacityError, PayloadError, RangeTable, build_range_table
 from .codec import collect_frame, read_chunks
@@ -36,9 +36,10 @@ def wide_window(table: RangeTable) -> tuple[int, int]:
 
 
 _CLAMP_LOW, _CLAMP_HIGH = wide_window(build_range_table((256,)))
-# both indexed by the value itself, so a negative value counts back from the end
-_CLAMPED = tuple(range(256)) + (255,) * (_CLAMP_HIGH - 255) + (0,) * -_CLAMP_LOW
-_OUTSIDE = (0,) * 256 + (1,) * (len(_CLAMPED) - 256)  # 1 outside [0, 255]
+# keyed by every value of the widest window: anything else raises KeyError
+_CLAMPED = {v: min(max(v, 0), 255) for v in range(_CLAMP_LOW, _CLAMP_HIGH + 1)}
+# indexed by the value itself, so a negative value counts back from the end
+_OUTSIDE = (0,) * 256 + (1,) * (_CLAMP_HIGH - 255 - _CLAMP_LOW)  # 1 outside [0, 255]
 
 
 def adjust_pair(p: int, q: int, d: int, d_new: int) -> tuple[int, int]:
@@ -92,11 +93,16 @@ def extract_blocks(pixels: Sequence[int], table: RangeTable, extract_block: Extr
 
 
 def check_capacity(cover: GrayImage, stream: bytes, table: RangeTable) -> int:
-    """Return the stream's bit count; raise CapacityError if it does not fit."""
+    """Return the stream's bit count; raise CapacityError if it does not fit.
+
+    Every block carries at least min(t) bits, so a stream within
+    min(t) * blocks fits without the capacity pass over the cover.
+    """
     needed = 8 * len(stream)
-    available, _ = capacity(cover, table)
-    if needed > available:
-        raise CapacityError(needed, available)
+    if needed > min(table.t) * (len(cover.pixels) // 2):
+        available, _ = capacity(cover, table)
+        if needed > available:
+            raise CapacityError(needed, available)
     return needed
 
 
@@ -104,7 +110,8 @@ def check_capacity(cover: GrayImage, stream: bytes, table: RangeTable) -> int:
 class PvdResult:
     """Embedding trace: wide stego raster plus violation statistics.
 
-    ``violations`` counts the stego values outside [0, 255].
+    ``violations`` counts the stego values outside [0, 255], all of them
+    in the first ``2 * blocks_used`` values; the rest is the cover's.
     """
 
     stego: list[int]
@@ -122,11 +129,11 @@ def pvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> PvdR
     """
     needed = check_capacity(cover, payload, table)
     stego = list(chain.from_iterable(embed_blocks(cover.pixels, payload, table, embed_pair)))
-    blocks = len(stego) // 2
-    stego += cover.pixels[len(stego) :]
     violations = 0
     if stego and (min(stego) < 0 or max(stego) > 255):
         violations = sum(map(_OUTSIDE.__getitem__, stego))
+    blocks = len(stego) // 2
+    stego += cover.pixels[len(stego) :]
     return PvdResult(stego, violations, needed, blocks)
 
 
@@ -143,19 +150,17 @@ def pvd_extract_image(stego: Sequence[int], table: RangeTable) -> bytes:
         raise PayloadError("pixel pair differs by more than 255") from None
 
 
-def clamp_raster(stego: Sequence[int]) -> bytes:
-    """Clamp a wide raster into [0, 255] for PGM persistence.
+def clamp_raster(stego: Iterable[int]) -> bytes:
+    """Clamp a wide raster, or any part of one, into [0, 255] for PGM persistence.
 
     Lossy whenever violations are present; extraction from a clamped
     raster can return corrupted data.  Accepts values in [-128, 383],
     the wide window of the widest range table, and raises ValueError
-    outside it.
+    outside it.  One pass, so an iterator such as an ``islice`` will do.
     """
-    if not stego:
-        return b""
-    low, high = min(stego), max(stego)
-    if low >= 0 and high <= 255:
-        return bytes(stego)
-    if low < _CLAMP_LOW or high > _CLAMP_HIGH:
-        raise ValueError(f"raster values {low}..{high} leave [{_CLAMP_LOW}, {_CLAMP_HIGH}]")
-    return bytes(map(_CLAMPED.__getitem__, stego))
+    try:
+        return bytes(map(_CLAMPED.__getitem__, stego))
+    except KeyError as exc:
+        raise ValueError(
+            f"raster value {exc.args[0]} leaves [{_CLAMP_LOW}, {_CLAMP_HIGH}]"
+        ) from None

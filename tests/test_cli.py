@@ -1,8 +1,10 @@
 import json
+import random
 
 import pytest
 
-from pvdstego import cli
+from pvdstego import cli, metrics, pvd
+from pvdstego.apvd import apvd_embed_image
 from pvdstego.cli import (
     EXIT_CAPACITY,
     EXIT_IO,
@@ -11,9 +13,10 @@ from pvdstego.cli import (
     MAX_COMPARE_SIZE,
     main,
 )
-from pvdstego.codec import build_range_table
+from pvdstego.codec import build_range_table, frame_payload
 from pvdstego.imagery import GrayImage, save_pgm, synthetic_cover
-from pvdstego.metrics import capacity
+from pvdstego.metrics import capacity, mse_psnr
+from pvdstego.pvd import pvd_embed_image
 
 TABLE = build_range_table()
 
@@ -104,6 +107,34 @@ def test_embed_pvd_round_trip_without_violations(tmp_path, monkeypatch, capsys):
         "--cover", str(stego), "--out", str(recovered),
     ]) == EXIT_OK
     assert recovered.read_bytes() == payload.read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("method", ["apvd", "pvd"])
+def test_short_embed_skips_the_capacity_pass(tmp_path, monkeypatch, capsys, method):
+    # 256 bytes are far below min(t) * blocks of a 256x256 cover
+    cover = synthetic_cover("gradient", 256, 256)
+    payload = random.Random(0).randbytes(256)
+    if method == "apvd":
+        stego = apvd_embed_image(cover, payload, TABLE).stego.pixels
+    else:
+        stego = pvd_embed_image(cover, frame_payload(payload), TABLE).stego
+    mse, psnr_db = mse_psnr(cover.pixels, stego)
+    cover_file = tmp_path / "gradient.pgm"
+    cover_file.write_bytes(save_pgm(cover))
+    payload_file = _write_payload(tmp_path, payload)
+
+    def refuse(cover, table):
+        raise AssertionError("capacity pass over the whole cover")
+
+    monkeypatch.setattr(metrics, "capacity", refuse)
+    monkeypatch.setattr(pvd, "capacity", refuse)
+    assert main([
+        "embed", "--method", method, "--cover", str(cover_file),
+        "--payload", str(payload_file), "--out", str(tmp_path / "stego.pgm"),
+    ]) == EXIT_OK
+    sidecar = json.loads((tmp_path / "stego.pgm.json").read_text())
+    assert (sidecar["mse"], sidecar["psnr_db"]) == (round(mse, 6), round(psnr_db, 4))
     capsys.readouterr()
 
 

@@ -7,16 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvdstego import imagery
+from pvdstego.codec import build_range_table
 from pvdstego.imagery import (
     SYNTHETIC_KINDS,
     GrayImage,
     PgmError,
-    block_count,
-    block_sequence,
     load_pgm,
     save_pgm,
     synthetic_cover,
 )
+from pvdstego.pvd import embed_blocks
+
+TABLE = build_range_table()
 
 
 def test_load_minimal_binary():
@@ -132,33 +134,43 @@ def test_image_invariants():
         GrayImage(0, 2, b"")
 
 
+def _blocks(img: GrayImage) -> list[tuple[int, int]]:
+    """The block order every walk uses: pixels[0::2] paired with pixels[1::2]."""
+    return list(zip(img.pixels[0::2], img.pixels[1::2]))
+
+
+def _walked_blocks(img: GrayImage) -> list[tuple[int, int]]:
+    """The blocks the shared embed walk hands its kernel, for a stream that outlasts them."""
+    stream = bytes(len(img.pixels))  # 8 bits per pixel, at most 7 per block
+    return list(embed_blocks(img.pixels, stream, TABLE, lambda p, q, chunk, table: (p, q)))
+
+
 def test_block_sequence_row_major_pairs():
     raster = GrayImage(2, 2, bytes([10, 20, 30, 40]))
-    blocks = list(block_sequence(raster))
-    assert [pair for _, pair in blocks] == [(10, 20), (30, 40)]
-    assert [index.ordinal for index, _ in blocks] == [0, 1]
-    assert blocks[1][0].first == 2 and blocks[1][0].second == 3
+    assert _blocks(raster) == _walked_blocks(raster) == [(10, 20), (30, 40)]
+    # block k is the flat offsets 2k and 2k + 1
+    offsets = range(4)
+    assert list(zip(offsets[0::2], offsets[1::2])) == [(0, 1), (2, 3)]
 
 
 def test_block_sequence_drops_odd_tail():
     raster = GrayImage(3, 1, bytes([1, 2, 3]))
-    assert [pair for _, pair in block_sequence(raster)] == [(1, 2)]
-    assert block_count(raster) == 1
+    assert _blocks(raster) == _walked_blocks(raster) == [(1, 2)]
 
 
 def test_block_sequence_covers_all_but_at_most_one_pixel():
     for total in (6, 7, 512 * 512):
-        raster = GrayImage(total, 1, bytes(total))
-        offsets = []
-        for index, _ in block_sequence(raster):
-            offsets.extend([index.first, index.second])
-        assert len(offsets) == len(set(offsets))
-        assert len(offsets) == 2 * block_count(raster)
-        assert total - len(offsets) <= 1
+        offsets = range(total)
+        pairs = list(zip(offsets[0::2], offsets[1::2]))
+        flat = [i for pair in pairs for i in pair]
+        assert flat == list(range(2 * len(pairs)))
+        assert len(pairs) == total // 2
+        assert total - len(flat) <= 1
 
 
 def test_block_count_full_frame():
-    assert block_count(GrayImage(512, 512, bytes(512 * 512))) == 131072
+    raster = GrayImage(512, 512, bytes(512 * 512))
+    assert len(_blocks(raster)) == len(_walked_blocks(raster)) == 131072
 
 
 def test_synthetic_covers_deterministic():

@@ -1,18 +1,25 @@
 """The image walks against a block-by-block loop over the kernels.
 
 The reference loop below spells the scheme out the slow way: bit
-strings, one block at a time in ``block_sequence`` order, and nothing
-but the per-block kernels.  The image walks must agree with it exactly,
-and the extractors must fail only with the documented errors.
+strings, one block at a time, ``pixels[0::2]`` paired with
+``pixels[1::2]``, and nothing but the per-block kernels.  The image
+walks must agree with it exactly, and the extractors must fail only with
+the documented errors.
 """
 
+import contextlib
+import io
+import json
+import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvdstego import oracle
+from pvdstego import cli, oracle, pvd
 from pvdstego.apvd import (
     BRANCHES,
     apvd_embed_image,
@@ -23,15 +30,23 @@ from pvdstego.apvd import (
 )
 from pvdstego.codec import (
     HEADER_BITS,
+    CapacityError,
     PayloadError,
     TruncatedPayload,
     build_range_table,
     deframe_payload,
     frame_payload,
+    parse_widths,
 )
-from pvdstego.imagery import GrayImage, PgmError, block_sequence, load_pgm, save_pgm
-from pvdstego.metrics import capacity
-from pvdstego.pvd import embed_pair, extract_pair, pvd_embed_image, pvd_extract_image
+from pvdstego.imagery import GrayImage, PgmError, load_pgm, save_pgm, synthetic_cover
+from pvdstego.metrics import capacity, mse_psnr
+from pvdstego.pvd import (
+    clamp_raster,
+    embed_pair,
+    extract_pair,
+    pvd_embed_image,
+    pvd_extract_image,
+)
 
 TABLE = build_range_table()
 TABLES = [TABLE, build_range_table((2,) * 128), build_range_table((256,))]
@@ -47,7 +62,7 @@ def _reference_embed(cover: GrayImage, stream: bytes, table, adaptive: bool):
     stego = list(cover.pixels)
     labels = []
     pos = 0
-    for index, (p, q) in block_sequence(cover):
+    for block, (p, q) in enumerate(zip(cover.pixels[0::2], cover.pixels[1::2])):
         if pos >= len(bits):
             break
         t = table.locate(abs(q - p)).bits
@@ -60,7 +75,7 @@ def _reference_embed(cover: GrayImage, stream: bytes, table, adaptive: bool):
         else:
             first, second = embed_pair(p, q, chunk, table)
             labels.append((not 0 <= first <= 255) + (not 0 <= second <= 255))
-        stego[index.first], stego[index.second] = first, second
+        stego[2 * block], stego[2 * block + 1] = first, second
     return stego, labels, min(pos, len(bits))
 
 
@@ -139,6 +154,133 @@ def test_oracle_passes_wide_tables_at_the_edges(widths, p_start):
     assert part.failures == []
     table = build_range_table(widths)
     assert part.total == sum(1 << table.t[abs(q - p_start)] for q in range(256))
+
+
+# --- work in proportion to the payload -----------------------------------------
+
+# min(t) of 3, 1 and 7: the bound min(t) * blocks below which no capacity pass runs
+BOUND_WIDTHS = ["8,8,16,32,64,128", "2,2,4,8,16,32,64,128", "128,128"]
+BOUND_TABLES = [build_range_table(parse_widths(text)) for text in BOUND_WIDTHS]
+
+
+def _refuse_capacity_pass(monkeypatch):
+    def refuse(cover, table):
+        raise AssertionError("capacity pass over the whole cover")
+
+    monkeypatch.setattr(pvd, "capacity", refuse)
+
+
+def _mid_gray_cover(kind: str, width: int, height: int) -> GrayImage:
+    """Flat: every block carries exactly min(t) bits.  Noise: no lossy corner."""
+    if kind == "flat":
+        return GrayImage(width, height, bytes([128] * (width * height)))
+    rng = random.Random(width * height)
+    return GrayImage(width, height, bytes(rng.randrange(64, 192) for _ in range(width * height)))
+
+
+@pytest.mark.parametrize("table", BOUND_TABLES, ids=BOUND_WIDTHS)
+@pytest.mark.parametrize(
+    "kind,width,height", [("flat", 9, 9), ("noise", 23, 23), ("flat", 16, 8), ("noise", 16, 8)]
+)
+def test_stream_of_min_t_bits_per_block_skips_the_capacity_pass(
+    monkeypatch, table, kind, width, height
+):
+    cover = _mid_gray_cover(kind, width, height)
+    blocks = len(cover.pixels) // 2
+    bits = min(table.t) * blocks
+    payload = random.Random(bits).randbytes(bits // 8 - HEADER_BITS // 8)
+    framed = frame_payload(payload)
+    assert 8 * len(framed) == bits
+    _refuse_capacity_pass(monkeypatch)
+
+    result = pvd_embed_image(cover, framed, table)
+    assert result.bits_embedded == bits
+    assert result.stego[2 * result.blocks_used :] == list(cover.pixels[2 * result.blocks_used :])
+    assert deframe_payload(pvd_extract_image(result.stego, table)) == payload
+    report = apvd_embed_image(cover, payload, table)
+    assert report.bits_embedded == bits
+    assert apvd_extract_image(report.stego, table) == payload
+    if kind == "flat":  # the bound is the true capacity: every block is used
+        assert result.blocks_used == report.blocks_used == blocks
+        assert report.stego.pixels[2 * blocks :] == cover.pixels[2 * blocks :]
+
+    # one byte past the bound runs the pass
+    with pytest.raises(AssertionError, match="capacity pass"):
+        pvd_embed_image(cover, framed + b"\x00", table)
+
+
+@pytest.mark.parametrize("widths", BOUND_WIDTHS)
+@pytest.mark.parametrize("method", ["pvd", "apvd"])
+def test_stream_past_true_capacity_is_refused_with_the_true_count(
+    tmp_path, capsys, widths, method
+):
+    table = build_range_table(parse_widths(widths))
+    cover = _mid_gray_cover("noise", 23, 23)
+    raw, _ = capacity(cover, table)
+    framed = bytes(raw // 8 + 1)
+    payload = framed[HEADER_BITS // 8 :]
+    with pytest.raises(CapacityError) as info:
+        if method == "pvd":
+            pvd_embed_image(cover, framed, table)
+        else:
+            apvd_embed_image(cover, payload, table)
+    assert (info.value.needed_bits, info.value.available_bits) == (8 * len(framed), raw)
+
+    (tmp_path / "cover.pgm").write_bytes(save_pgm(cover))
+    (tmp_path / "payload.bin").write_bytes(payload)
+    code = cli.main([
+        "embed", "--method", method, "--widths", widths, "--cover", str(tmp_path / "cover.pgm"),
+        "--payload", str(tmp_path / "payload.bin"), "--out", str(tmp_path / "stego.pgm"),
+    ])
+    assert code == cli.EXIT_CAPACITY
+    assert f"holds at most {raw} bits" in capsys.readouterr().err
+    assert not (tmp_path / "stego.pgm").exists()
+
+
+def _check_prefix_work(cover: GrayImage, payload: bytes, widths: str):
+    """Embeds that touch only the walked prefix report what full arrays give."""
+    table = build_range_table(parse_widths(widths))
+    report = apvd_embed_image(cover, payload, table)
+    assert (report.mse, report.psnr_db) == mse_psnr(cover.pixels, report.stego.pixels)
+
+    result = pvd_embed_image(cover, frame_payload(payload), table)
+    assert len(result.stego) == len(cover.pixels)
+    assert result.violations == sum(1 for v in result.stego if not 0 <= v <= 255)
+    mse, psnr_db = mse_psnr(cover.pixels, result.stego)
+    with tempfile.TemporaryDirectory() as tmp:
+        cover_file, payload_file, out = (Path(tmp) / n for n in ("c.pgm", "p.bin", "s.pgm"))
+        cover_file.write_bytes(save_pgm(cover))
+        payload_file.write_bytes(payload)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([
+                "embed", "--method", "pvd", "--widths", widths, "--cover", str(cover_file),
+                "--payload", str(payload_file), "--out", str(out),
+            ])
+        assert code == cli.EXIT_OK
+        want = GrayImage(cover.width, cover.height, clamp_raster(result.stego))
+        assert out.read_bytes() == save_pgm(want)
+        sidecar = json.loads(Path(f"{out}.json").read_text())
+    assert sidecar["violations"] == result.violations
+    assert sidecar["mse"] == round(mse, 6)
+    assert sidecar["psnr_db"] == ("inf" if math.isinf(psnr_db) else round(psnr_db, 4))
+    return result.violations
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_prefix_work_matches_full_arrays(data):
+    # 64 pixels or more: room for the header even at one bit per block
+    width, height = data.draw(st.integers(8, 40)), data.draw(st.integers(8, 40))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    cover = GrayImage(width, height, _random_raster(rng, width * height))
+    widths = data.draw(st.sampled_from(BOUND_WIDTHS))
+    _, net = capacity(cover, build_range_table(parse_widths(widths)))
+    _check_prefix_work(cover, rng.randbytes(data.draw(st.integers(0, net))), widths)
+
+
+def test_prefix_work_matches_full_arrays_on_a_violating_cover():
+    cover = synthetic_cover("gradient", 256, 256)
+    assert _check_prefix_work(cover, random.Random(0).randbytes(256), BOUND_WIDTHS[0]) == 2
 
 
 # --- error paths -------------------------------------------------------------
