@@ -18,7 +18,6 @@ from .apvd import (
 from .codec import (
     CapacityError,
     PayloadError,
-    Range,
     RangeTable,
     TruncatedPayload,
     build_range_table,
@@ -46,7 +45,6 @@ __all__ = [
     "PayloadError",
     "PgmError",
     "PvdResult",
-    "Range",
     "RangeTable",
     "TruncatedPayload",
     "apvd_embed_image",

@@ -14,6 +14,7 @@ from pathlib import Path
 from . import metrics, oracle
 from .apvd import apvd_embed_image, apvd_extract_image
 from .codec import (
+    DEFAULT_WIDTHS,
     CapacityError,
     PayloadError,
     RangeTable,
@@ -31,7 +32,7 @@ EXIT_CAPACITY = 2
 EXIT_IO = 3
 EXIT_SELFTEST = 4
 
-DEFAULT_WIDTHS_TEXT = "8,8,16,32,64,128"
+DEFAULT_WIDTHS_TEXT = ",".join(map(str, DEFAULT_WIDTHS))
 MAX_COMPARE_SIZE = 4096  # a synthetic cover holds size**2 pixels in memory
 
 
@@ -124,9 +125,7 @@ def cmd_embed(args) -> int:
     if args.method == "apvd":
         result = apvd_embed_image(cover, payload, table)
         stego_bytes = save_pgm(result.stego)
-        report.update(
-            bits_embedded=result.bits_embedded,
-            blocks_used=result.blocks_used,
+        scheme_report = dict(
             branch_counts=result.branch_counts,
             mark_case_counts=result.mark_case_counts,
             lossy_corner_count=result.lossy_corner_count,
@@ -134,8 +133,6 @@ def cmd_embed(args) -> int:
                 {"block": block, "payload_byte": byte} for block, byte in result.lossy_corners
             ],
             violations=0,
-            mse=round(result.mse, 6),
-            psnr_db=_json_db(result.psnr_db),
         )
         if result.lossy_corner_count:
             print(
@@ -144,8 +141,7 @@ def cmd_embed(args) -> int:
                 file=sys.stderr,
             )
     else:
-        framed = frame_payload(payload)
-        result = pvd_embed_image(cover, framed, table)
+        result = pvd_embed_image(cover, frame_payload(payload), table)
         if result.violations:
             print(
                 f"warning: {result.violations} stego pixel(s) left [0,255]; "
@@ -156,20 +152,17 @@ def cmd_embed(args) -> int:
         # has scanned it: without violations it is in range
         walked = 2 * result.blocks_used
         head = islice(result.stego, walked)
-        cover_view = memoryview(cover.pixels)
-        pixels = (clamp_raster(head) if result.violations else bytes(head)) + cover_view[walked:]
+        tail = memoryview(cover.pixels)[walked:]
+        pixels = (clamp_raster(head) if result.violations else bytes(head)) + tail
         stego_bytes = save_pgm(GrayImage(cover.width, cover.height, pixels))
-        mse, psnr_db = metrics.mse_psnr(
-            cover_view[:walked], islice(result.stego, walked), len(cover.pixels)
-        )
-        report.update(
-            bits_embedded=result.bits_embedded,
-            blocks_used=result.blocks_used,
-            violations=result.violations,
-            clamped=bool(result.violations),
-            mse=round(mse, 6),
-            psnr_db=_json_db(psnr_db),
-        )
+        scheme_report = dict(violations=result.violations, clamped=bool(result.violations))
+    report.update(
+        bits_embedded=result.bits_embedded,
+        blocks_used=result.blocks_used,
+        **scheme_report,
+        mse=round(result.mse, 6),
+        psnr_db=_json_db(result.psnr_db),
+    )
     Path(args.out).write_bytes(stego_bytes)
     _write_sidecar(args.out, report)
     print(

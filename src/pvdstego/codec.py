@@ -8,7 +8,7 @@ into per-block chunks and packed back together through a small integer
 accumulator that never holds more than 15 bits.
 """
 
-from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 DEFAULT_WIDTHS = (8, 8, 16, 32, 64, 128)
@@ -36,79 +36,44 @@ class TruncatedPayload(PayloadError):
     """The header declares more payload bits than are available."""
 
 
-@dataclass(frozen=True)
-class Range:
-    """One quantization range [lower, upper]; hides `bits` bits per block."""
-
-    lower: int
-    upper: int
-
-    @property
-    def width(self) -> int:
-        return self.upper - self.lower + 1
-
-    @property
-    def bits(self) -> int:
-        return self.width.bit_length() - 1
-
-    def __post_init__(self):
-        if not 0 <= self.lower <= self.upper <= 255:
-            raise ValueError(f"range bounds out of order or outside [0,255]: {self}")
-        w = self.width
-        if w < 2 or w & (w - 1):
-            raise ValueError(f"range width {w} is not a power of two >= 2")
-
-
 class RangeTable:
     """Contiguous ranges partitioning the difference domain [0, 255].
 
-    ``t[d]`` and ``lower[d]`` are the bits per block and the range's
-    lower bound for each difference d, the lookups the block kernels use.
+    The k-th range holds the ``widths[k]`` differences after those of
+    ranges 0..k-1 and hides log2(widths[k]) bits per block.  ``t[d]`` and
+    ``lower[d]`` are the bits per block and the range's lower bound for
+    each difference d, the lookups the block kernels use.
     """
 
-    def __init__(self, ranges: list[Range]):
-        if not ranges:
-            raise ValueError("range table is empty")
-        if ranges[0].lower != 0 or ranges[-1].upper != 255:
-            raise ValueError("ranges must start at 0 and end at 255")
-        for prev, cur in zip(ranges, ranges[1:]):
-            if cur.lower != prev.upper + 1:
-                raise ValueError(f"ranges not contiguous at {prev} -> {cur}")
-        self.ranges = tuple(ranges)
-        self._by_diff = tuple(rng for rng in self.ranges for _ in range(rng.width))
-        self.t = tuple(rng.bits for rng in self._by_diff)
-        self.lower = tuple(rng.lower for rng in self._by_diff)
-
-    def locate(self, d: int) -> Range:
-        """Return the unique range containing the difference d in [0, 255]."""
-        return self._by_diff[d]
-
-    @property
-    def widths(self) -> tuple[int, ...]:
-        return tuple(r.width for r in self.ranges)
+    def __init__(self, widths: Iterable[int]):
+        widths = tuple(widths)
+        # every width before the sum: (2**40, 256 - 2**40) sums to 256 and
+        # would ask for 2**40-entry lookups
+        for w in widths:
+            if not isinstance(w, int) or w < 2 or w & (w - 1):
+                raise ValueError(f"range width {w!r} is not a power of two >= 2")
+        total = sum(widths)
+        if total != 256:
+            raise ValueError(f"range widths must sum to 256, got {total}")
+        self.widths = widths
+        self.t = tuple(w.bit_length() - 1 for w in widths for _ in range(w))
+        starts = accumulate(widths, initial=0)
+        self.lower = tuple(start for start, w in zip(starts, widths) for _ in range(w))
 
     def __eq__(self, other):
-        return isinstance(other, RangeTable) and self.ranges == other.ranges
+        return isinstance(other, RangeTable) and self.widths == other.widths
 
     def __repr__(self):
         return f"RangeTable(widths={','.join(map(str, self.widths))})"
 
 
-def build_range_table(widths=DEFAULT_WIDTHS) -> RangeTable:
+def build_range_table(widths: Iterable[int] = DEFAULT_WIDTHS) -> RangeTable:
     """Build the prefix-sum partition of [0, 255] from a list of widths.
 
-    Every width must be a power of two >= 2 and the widths must sum to
-    256, so each range hides exactly log2(width) bits.
+    Raises ValueError unless every width is a power of two >= 2 and the
+    widths sum to 256, so each range hides exactly log2(width) bits.
     """
-    total = sum(widths)
-    if total != 256:
-        raise ValueError(f"range widths must sum to 256, got {total}")
-    ranges = []
-    lower = 0
-    for w in widths:
-        ranges.append(Range(lower, lower + w - 1))  # Range validates power of two
-        lower += w
-    return RangeTable(ranges)
+    return RangeTable(widths)
 
 
 def parse_widths(text: str) -> tuple[int, ...]:

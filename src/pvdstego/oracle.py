@@ -30,13 +30,16 @@ FAIL_LIMIT = 5  # per sweep span; enough to diagnose, cheap to carry
 
 @dataclass
 class OracleResult:
-    total_cases: int
-    failures: list[str]
-    lossy_corner_count: int
-    lossy_corner_cases: list[tuple[int, int, int]]
-    branch_counts: dict[str, int]
-    mark_case_counts: dict[str, int]
-    baseline_in_range_cases: int
+    """Sweep counters; each span fills one and ``_merge`` sums them."""
+
+    total_cases: int = 0
+    failures: list[str] = field(default_factory=list)
+    # set by run(); a field, not a property, as perfbench's stub result passes it in
+    lossy_corner_count: int = 0
+    lossy_corner_cases: list[tuple[int, int, int]] = field(default_factory=list)
+    branch_counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(apvd.BRANCHES, 0))
+    mark_case_counts: dict[str, int] = field(default_factory=dict)
+    baseline_in_range_cases: int = 0
     elapsed_seconds: float = 0.0
 
     @property
@@ -44,44 +47,33 @@ class OracleResult:
         return not self.failures
 
 
-@dataclass
-class _Partial:
-    total: int = 0
-    failures: list[str] = field(default_factory=list)
-    corner: list[tuple[int, int, int]] = field(default_factory=list)
-    branches: dict[str, int] = field(default_factory=lambda: dict.fromkeys(apvd.BRANCHES, 0))
-    marks: dict[str, int] = field(default_factory=dict)
-    baseline_in_range: int = 0
-
-
 def expected_case_count(table: RangeTable) -> int:
     """Case count derived arithmetically, independent of the sweep loop."""
     total = 0
     for d in range(256):
         pairs = 256 if d == 0 else 2 * (256 - d)
-        total += pairs << table.locate(d).bits
+        total += pairs << table.t[d]
     return total
 
 
 def _check_pair(
-    p: int, q: int, table: RangeTable, window: tuple[int, int], out: _Partial
+    p: int, q: int, table: RangeTable, window: tuple[int, int], out: OracleResult
 ) -> None:
     d = abs(q - p)
-    rng = table.locate(d)
-    t = rng.bits
-    lower = rng.lower
+    t = table.t[d]
+    lower = table.lower[d]
     half = 1 << (t - 1)
     wide_min, wide_max = window
     failures = out.failures
-    branches = out.branches
-    marks = out.marks
+    branches = out.branch_counts
+    marks = out.mark_case_counts
 
     def fail(chunk, message):
         if len(failures) < FAIL_LIMIT:
             failures.append(f"(p={p}, q={q}, chunk={chunk:0{t}b}): {message}")
 
     for chunk in range(1 << t):
-        out.total += 1
+        out.total_cases += 1
         d_new = lower + chunk
 
         # baseline scheme
@@ -94,7 +86,7 @@ def _check_pair(
         if d_new <= d and not in_range:
             fail(chunk, f"difference-decreasing baseline left range: ({a1},{a2})")
         if in_range:
-            out.baseline_in_range += 1
+            out.baseline_in_range_cases += 1
             value, t_back = pvd.extract_pair(a1, a2, table)
             if value != chunk or t_back != t:
                 fail(chunk, f"baseline round trip gave {value} over {t_back} bits")
@@ -122,7 +114,7 @@ def _check_pair(
         flag_back, adjusted = apvd.read_flag_and_adjust(marked)
         value, t_back = apvd.extract_block_value(m1, m2, table)
         if case == apvd.LOSSY_MARK_CASE:
-            out.corner.append((p, q, chunk))
+            out.lossy_corner_cases.append((p, q, chunk))
             # documented loss: the unmarkable (0, 255) block reads one low
             if flag_back != 0 or abs(adjusted - m2) != realized - 1:
                 fail(chunk, f"lossy corner recovered d={abs(adjusted - m2)}")
@@ -137,27 +129,27 @@ def _check_pair(
                 fail(chunk, f"round trip extracted {value} over {t_back} bits")
 
 
-def _sweep_span(widths: tuple[int, ...], p_start: int, p_stop: int) -> _Partial:
+def _sweep_span(widths: tuple[int, ...], p_start: int, p_stop: int) -> OracleResult:
     table = build_range_table(widths)
     window = pvd.wide_window(table)
-    out = _Partial()
+    out = OracleResult()
     for p in range(p_start, p_stop):
         for q in range(256):
             _check_pair(p, q, table, window, out)
     return out
 
 
-def _merge(parts: list[_Partial]) -> _Partial:
-    merged = _Partial()
+def _merge(parts: list[OracleResult]) -> OracleResult:
+    merged = OracleResult()
     for part in parts:
-        merged.total += part.total
-        merged.failures.extend(part.failures)
-        merged.corner.extend(part.corner)
-        merged.baseline_in_range += part.baseline_in_range
-        for k, v in part.branches.items():
-            merged.branches[k] = merged.branches.get(k, 0) + v
-        for k, v in part.marks.items():
-            merged.marks[k] = merged.marks.get(k, 0) + v
+        merged.total_cases += part.total_cases
+        merged.failures += part.failures
+        merged.lossy_corner_cases += part.lossy_corner_cases
+        merged.baseline_in_range_cases += part.baseline_in_range_cases
+        for k, v in part.branch_counts.items():
+            merged.branch_counts[k] = merged.branch_counts.get(k, 0) + v
+        for k, v in part.mark_case_counts.items():
+            merged.mark_case_counts[k] = merged.mark_case_counts.get(k, 0) + v
     return merged
 
 
@@ -170,20 +162,14 @@ def run(table: RangeTable, jobs: int = 1) -> OracleResult:
     widths = table.widths
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
-        merged = _sweep_span(widths, 0, 256)
+        result = _sweep_span(widths, 0, 256)
     else:
         step = max(1, 256 // (jobs * 4))
         spans = [(widths, lo, min(256, lo + step)) for lo in range(0, 256, step)]
         with ProcessPoolExecutor(max_workers=min(jobs, len(spans))) as pool:
-            merged = _merge(list(pool.map(_sweep_span, *zip(*spans))))
-    merged.corner.sort()
-    return OracleResult(
-        total_cases=merged.total,
-        failures=merged.failures[:FAIL_LIMIT],
-        lossy_corner_count=len(merged.corner),
-        lossy_corner_cases=merged.corner,
-        branch_counts=merged.branches,
-        mark_case_counts=merged.marks,
-        baseline_in_range_cases=merged.baseline_in_range,
-        elapsed_seconds=time.perf_counter() - started,
-    )
+            result = _merge(list(pool.map(_sweep_span, *zip(*spans))))
+    del result.failures[FAIL_LIMIT:]
+    result.lossy_corner_cases.sort()
+    result.lossy_corner_count = len(result.lossy_corner_cases)
+    result.elapsed_seconds = time.perf_counter() - started
+    return result

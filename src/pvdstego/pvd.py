@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .codec import CapacityError, PayloadError, RangeTable, build_range_table
 from .codec import collect_frame, read_chunks
 from .imagery import GrayImage
-from .metrics import capacity
+from .metrics import capacity, mse_psnr
 
 
 def wide_window(table: RangeTable) -> tuple[int, int]:
@@ -108,16 +108,20 @@ def check_capacity(cover: GrayImage, stream: bytes, table: RangeTable) -> int:
 
 @dataclass
 class PvdResult:
-    """Embedding trace: wide stego raster plus violation statistics.
+    """Embedding trace: wide stego raster plus violation and quality statistics.
 
     ``violations`` counts the stego values outside [0, 255], all of them
     in the first ``2 * blocks_used`` values; the rest is the cover's.
+    ``mse`` and ``psnr_db`` measure the wide raster against the cover,
+    the distortion the arithmetic produced before any clamp.
     """
 
     stego: list[int]
     violations: int
     bits_embedded: int
     blocks_used: int
+    mse: float
+    psnr_db: float
 
 
 def pvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> PvdResult:
@@ -132,9 +136,11 @@ def pvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> PvdR
     violations = 0
     if stego and (min(stego) < 0 or max(stego) > 255):
         violations = sum(map(_OUTSIDE.__getitem__, stego))
-    blocks = len(stego) // 2
-    stego += cover.pixels[len(stego) :]
-    return PvdResult(stego, violations, needed, blocks)
+    walked = len(stego)
+    cover_view = memoryview(cover.pixels)  # slices of a view copy nothing
+    mse, psnr_db = mse_psnr(cover_view[:walked], stego, len(cover.pixels))
+    stego += cover_view[walked:]
+    return PvdResult(stego, violations, needed, walked // 2, mse, psnr_db)
 
 
 def pvd_extract_image(stego: Sequence[int], table: RangeTable) -> bytes:

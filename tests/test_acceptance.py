@@ -79,7 +79,7 @@ def test_exhaustive_block_oracle(capsys):
     checks = [
         result.failures == [],
         result.total_cases == expected_total == 4_035_968,
-        result.lossy_corner_count == TABLE.ranges[-1].width == 128,
+        result.lossy_corner_count == TABLE.widths[-1] == 128,
         set(result.lossy_corner_cases) == expected_corner,
         result.branch_counts["plain"] == result.baseline_in_range_cases,
         sum(result.branch_counts.values()) == result.total_cases,

@@ -115,9 +115,8 @@ def test_extract_always_returns_block_width_bits():
     for first in range(256):
         for second in range(256):
             flag, adjusted = read_flag_and_adjust((first, second))
-            rng = TABLE.locate(abs(adjusted - second))
             value, t = extract_block_value(first, second, TABLE)
-            assert t == rng.bits
+            assert t == TABLE.t[abs(adjusted - second)]
             assert 0 <= value < 1 << t
             assert value >> (t - 1) >= flag  # a set flag restores the MSB
 
@@ -125,16 +124,16 @@ def test_extract_always_returns_block_width_bits():
 @settings(max_examples=600)
 @given(st.integers(0, 255), st.integers(0, 255), st.data())
 def test_block_round_trip_through_mark(p, q, data):
-    rng = TABLE.locate(abs(q - p))
-    chunk = data.draw(st.integers(0, rng.width - 1))
+    t = TABLE.t[abs(q - p)]
+    chunk = data.draw(st.integers(0, (1 << t) - 1))
     pixels, flag, branch = embed_block_values(p, q, chunk, TABLE)
     assert 0 <= pixels[0] <= 255 and 0 <= pixels[1] <= 255
     assert branch in BRANCHES
     if flag:
-        assert chunk >> (rng.bits - 1)  # flagged only after an MSB discard
+        assert chunk >> (t - 1)  # flagged only after an MSB discard
     marked, case = mark_with_case(pixels, flag)
-    value, t = extract_block_value(marked[0], marked[1], TABLE)
-    assert t == rng.bits
+    value, t_back = extract_block_value(marked[0], marked[1], TABLE)
+    assert t_back == t
     if case == LOSSY_MARK_CASE:
         assert value == chunk - 1  # documented off-by-one corner
     else:

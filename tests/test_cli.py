@@ -207,7 +207,11 @@ def test_usage_errors(argv, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("widths", ["8,8", "7,9,16,32,64,128", "8,x,16"])
+@pytest.mark.parametrize(
+    "widths",
+    # the last sums to 256 with a 2**40 width: rejected before any lookup is built
+    ["8,8", "7,9,16,32,64,128", "8,x,16", "1099511627776,-1099511627520"],
+)
 def test_bad_widths(tmp_path, cover_path, widths, capsys):
     code = main(["capacity", "--cover", str(cover_path), "--widths", widths])
     assert code == EXIT_USAGE

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,7 +7,6 @@ from hypothesis import strategies as st
 from pvdstego.codec import (
     HEADER_BITS,
     PayloadError,
-    Range,
     TruncatedPayload,
     build_range_table,
     collect_frame,
@@ -28,61 +29,85 @@ def _chunks(bits: str, t: int):
     return [(int(bits[i : i + t], 2), t) for i in range(0, len(bits), t)]
 
 
+def _prefix_ranges(widths):
+    """(lower, upper) of each range, from the prefix sums of the widths."""
+    uppers = list(accumulate(widths))
+    return [(u - w, u - 1) for w, u in zip(widths, uppers)]
+
+
+TABLE_WIDTHS = [(8, 8, 16, 32, 64, 128), (256,), (2,) * 128, (128, 128)]
+
+
 def test_default_table_layout():
     table = build_range_table((8, 8, 16, 32, 64, 128))
-    assert [(r.lower, r.upper) for r in table.ranges] == [
-        (0, 7), (8, 15), (16, 31), (32, 63), (64, 127), (128, 255),
-    ]
-    assert [r.bits for r in table.ranges] == [3, 3, 4, 5, 6, 7]
-    assert table.ranges[-1].bits == 7
+    assert table.widths == (8, 8, 16, 32, 64, 128)
+    layout = [(0, 7, 3), (8, 15, 3), (16, 31, 4), (32, 63, 5), (64, 127, 6), (128, 255, 7)]
+    for lower, upper, bits in layout:
+        assert table.lower[lower : upper + 1] == (lower,) * (upper + 1 - lower)
+        assert table.t[lower : upper + 1] == (bits,) * (upper + 1 - lower)
+    assert table.t[255] == 7
 
 
 def test_single_range_table():
     table = build_range_table((256,))
-    assert table.ranges == (Range(0, 255),)
-    assert table.ranges[0].bits == 8
+    assert table.widths == (256,)
+    assert table.lower == (0,) * 256
+    assert table.t == (8,) * 256
 
 
 @pytest.mark.parametrize(
     "widths",
-    [(8, 8), (8,) * 33, (7, 9, 16, 32, 64, 128), (12, 4, 16, 32, 64, 128), ()],
+    [
+        (8, 8), (8,) * 33, (7, 9, 16, 32, 64, 128), (12, 4, 16, 32, 64, 128), (),
+        # each sums to 256; every width is checked before the sum and the lookups
+        (0, 256), (256, 0), (512, -256), (2**40, 256 - 2**40),
+    ],
 )
 def test_bad_width_lists_rejected(widths):
     with pytest.raises(ValueError):
         build_range_table(widths)
 
 
-def test_locate_boundaries():
+def test_lookup_boundaries():
     table = build_range_table()
-    assert (table.locate(0).lower, table.locate(0).upper) == (0, 7)
-    assert (table.locate(1).lower, table.locate(1).bits) == (0, 3)
-    assert (table.locate(255).lower, table.locate(255).bits) == (128, 7)
+    # d = 0 opens [0, 7]: 7 is its last difference and 8 opens the next range
+    assert (table.lower[0], table.t[0], table.lower[7], table.lower[8]) == (0, 3, 0, 8)
+    assert (table.lower[1], table.t[1]) == (0, 3)
+    assert (table.lower[255], table.t[255]) == (128, 7)
 
 
-def test_locate_matches_minimization_exhaustively():
-    # the containment rule and "smallest u_k - d with u_k >= d" must agree
-    table = build_range_table()
-    for d in range(256):
-        by_containment = table.locate(d)
-        by_min = min(
-            (r for r in table.ranges if r.upper >= d), key=lambda r: r.upper - d
-        )
-        assert by_containment == by_min
-        assert by_containment.lower <= d <= by_containment.upper
+def test_lookups_match_minimization_exhaustively():
+    # the lookups and "smallest u_k - d with u_k >= d" must agree
+    for widths in TABLE_WIDTHS:
+        table = build_range_table(widths)
+        ranges = _prefix_ranges(widths)
+        for d in range(256):
+            lower, upper = min((r for r in ranges if r[1] >= d), key=lambda r: r[1] - d)
+            assert (table.lower[d], 1 << table.t[d]) == (lower, upper - lower + 1)
 
 
-def test_difference_lookups_match_locate():
-    for widths in [(8, 8, 16, 32, 64, 128), (256,), (2,) * 128, (128, 128)]:
+def test_difference_lookups_match_containment():
+    for widths in TABLE_WIDTHS:
         table = build_range_table(widths)
         assert len(table.t) == len(table.lower) == 256
         for d in range(256):
-            assert (table.t[d], table.lower[d]) == (table.locate(d).bits, table.locate(d).lower)
+            [(lower, upper)] = [r for r in _prefix_ranges(widths) if r[0] <= d <= r[1]]
+            assert (table.lower[d], 1 << table.t[d]) == (lower, upper - lower + 1)
 
 
 def test_width_is_exact_power_of_bits():
     for widths in [(8, 8, 16, 32, 64, 128), (256,), (2,) * 128]:
-        for rng in build_range_table(widths).ranges:
-            assert 1 << rng.bits == rng.width
+        table = build_range_table(widths)
+        assert table.widths == widths
+        for width, (lower, _) in zip(widths, _prefix_ranges(widths)):
+            assert 1 << table.t[lower] == width
+
+
+def test_table_equality_and_repr():
+    table = build_range_table()
+    assert table == build_range_table([8, 8, 16, 32, 64, 128])
+    assert table != build_range_table((128, 128))
+    assert repr(table) == "RangeTable(widths=8,8,16,32,64,128)"
 
 
 def test_parse_widths():

@@ -64,23 +64,24 @@ def test_adjust_pair_splits_move_asymmetrically():
 @settings(max_examples=400)
 @given(st.integers(0, 255), st.integers(0, 255), st.data())
 def test_block_round_trip_inside_byte_range(p, q, data):
-    rng = TABLE.locate(abs(q - p))
-    chunk = data.draw(st.integers(0, rng.width - 1))
+    d = abs(q - p)
+    t = TABLE.t[d]
+    chunk = data.draw(st.integers(0, (1 << t) - 1))
     first, second = embed_pair(p, q, chunk, TABLE)
     low, high = wide_window(TABLE)
     assert low <= first <= high
     assert low <= second <= high
-    assert abs(second - first) == rng.lower + chunk
+    assert abs(second - first) == TABLE.lower[d] + chunk
     if 0 <= first <= 255 and 0 <= second <= 255:
-        assert extract_pair(first, second, TABLE) == (chunk, rng.bits)
+        assert extract_pair(first, second, TABLE) == (chunk, t)
 
 
 @settings(max_examples=400)
 @given(st.integers(0, 255), st.integers(0, 255), st.data())
 def test_shrinking_difference_never_escapes(p, q, data):
-    rng = TABLE.locate(abs(q - p))
-    chunk = data.draw(st.integers(0, rng.width - 1))
-    if rng.lower + chunk > abs(q - p):
+    d = abs(q - p)
+    chunk = data.draw(st.integers(0, (1 << TABLE.t[d]) - 1))
+    if TABLE.lower[d] + chunk > d:
         return
     first, second = embed_pair(p, q, chunk, TABLE)
     assert 0 <= first <= 255

@@ -65,7 +65,7 @@ def _reference_embed(cover: GrayImage, stream: bytes, table, adaptive: bool):
     for block, (p, q) in enumerate(zip(cover.pixels[0::2], cover.pixels[1::2])):
         if pos >= len(bits):
             break
-        t = table.locate(abs(q - p)).bits
+        t = table.t[abs(q - p)]
         chunk = int(bits[pos : pos + t].ljust(t, "0"), 2)
         pos += t
         if adaptive:
@@ -153,7 +153,20 @@ def test_oracle_passes_wide_tables_at_the_edges(widths, p_start):
     part = oracle._sweep_span(widths, p_start, p_start + 1)
     assert part.failures == []
     table = build_range_table(widths)
-    assert part.total == sum(1 << table.t[abs(q - p_start)] for q in range(256))
+    assert part.total_cases == sum(1 << table.t[abs(q - p_start)] for q in range(256))
+
+
+def test_oracle_passes_the_single_bit_table():
+    table = build_range_table((2,) * 128)
+    result = oracle.run(table)
+    assert result.failures == []
+    assert result.total_cases == oracle.expected_case_count(table) == 256 * 256 * 2
+    assert sum(result.branch_counts.values()) == result.total_cases
+    # as on the default table: a pair in the last range, spread about the
+    # middle, with an all-ones chunk
+    expected_corner = {((255 - d) >> 1, ((255 - d) >> 1) + d, 1) for d in (254, 255)}
+    assert set(result.lossy_corner_cases) == expected_corner
+    assert result.lossy_corner_count == 2
 
 
 # --- work in proportion to the payload -----------------------------------------
@@ -247,6 +260,7 @@ def _check_prefix_work(cover: GrayImage, payload: bytes, widths: str):
     assert len(result.stego) == len(cover.pixels)
     assert result.violations == sum(1 for v in result.stego if not 0 <= v <= 255)
     mse, psnr_db = mse_psnr(cover.pixels, result.stego)
+    assert (result.mse, result.psnr_db) == (mse, psnr_db)
     with tempfile.TemporaryDirectory() as tmp:
         cover_file, payload_file, out = (Path(tmp) / n for n in ("c.pgm", "p.bin", "s.pgm"))
         cover_file.write_bytes(save_pgm(cover))
