@@ -50,6 +50,10 @@ _WINDOW = 8192
 _CUT = re.compile(rb"(?s).{%d}[^ \t\r\n\x0b\x0c]*|.+" % _WINDOW)
 _LINE_REST = re.compile(rb"[^\r\n]*")
 
+# the decimal text of each pixel value; a P2 word found in _DECIMAL is a valid pixel
+_TEXT = tuple(b"%d" % v for v in range(256))
+_DECIMAL = {text: v for v, text in enumerate(_TEXT)}
+
 
 def _number(match, what: str) -> int:
     """The value of a decimal token; leading zeros are allowed."""
@@ -119,14 +123,14 @@ def _p2_raster(data: bytes, pos: int, count: int) -> bytearray:
             window = _COMMENT.sub(b" ", window + rest)
         words = window.split()  # splits on exactly the six bytes of _WHITESPACE
         spare = count - len(values)
-        if len(words) <= spare and window.translate(None, _WHITESPACE).isdigit():
-            try:
-                values.extend(map(int, words))
+        if len(words) <= spare:
+            try:  # extend builds into a temporary, so a miss appends nothing
+                values.extend(map(_DECIMAL.__getitem__, words))
                 continue
-            except ValueError:  # a value past 255 or int()'s digit limit: the walk raises
+            except KeyError:
                 pass
-        # a window that fails holds a bad word, or too many, or none: walk
-        # its words in order to raise the first error
+        # a window that misses holds a bad word, a leading zero or too many
+        # words: walk its words in order to raise the first error
         for word in words[:spare]:
             if not word.isdigit():
                 raise PgmError(f"malformed pixel value: {word!r}")
@@ -135,6 +139,7 @@ def _p2_raster(data: bytes, pos: int, count: int) -> bytearray:
                 raise PgmError(f"pixel value {value} exceeds maxval 255")
         if len(words) > spare:
             raise PgmError("trailing data after pixel raster")
+        values.extend(map(int, words))  # valid words, some with leading zeros
     if len(values) < count:
         raise PgmError("truncated header: missing pixel value")
     return values
@@ -152,11 +157,10 @@ def save_pgm(img: GrayImage, variant: str = "binary") -> bytes:
         return header.encode("ascii") + img.pixels
     if variant != "ascii":
         raise ValueError(f"unknown variant {variant!r}, expected 'ascii' or 'binary'")
-    lines = []
     px = img.pixels
-    for i in range(0, len(px), 17):  # 17 values of <= 4 chars keeps lines under 70
-        lines.append(" ".join(str(v) for v in px[i : i + 17]))
-    return header.encode("ascii") + ("\n".join(lines) + "\n").encode("ascii")
+    # 17 values of <= 4 chars keeps lines under 70
+    lines = (b" ".join(map(_TEXT.__getitem__, px[i : i + 17])) for i in range(0, len(px), 17))
+    return header.encode("ascii") + b"\n".join(lines) + b"\n"
 
 
 # --- bundled synthetic covers ---------------------------------------------

@@ -313,10 +313,29 @@ def test_windowed_p2_matches_token_reference(data):
         b"P2 2 1 255 1 x 300",
         b"P2 1 1 255 1 junk",
         b"P2 1 1 255 " + b"1" * 5000,
+        b"P2 3 1 255 0 1 007",  # a table miss after hits in the same window
+        b"P2 1 1 255 0256",
+        b"P2 2 1 255 00 x",
+        b"P2 1 1 255 -0",
+        b"P2 1 1 255 +7",
+        b"P2 256 1 255 " + b" ".join(b"%d" % v for v in range(256)),
     ],
 )
 def test_short_p2_matches_token_reference(data):
     assert _outcome(load_pgm, data) == _outcome(_reference_load_p2, data)
+
+
+def test_canonical_p2_raster_calls_int_only_for_the_header(monkeypatch):
+    calls = []
+
+    def counting_int(*args):
+        calls.append(args)
+        return int(*args)
+
+    monkeypatch.setattr(imagery, "int", counting_int, raising=False)
+    image = synthetic_cover("noise", 256, 256, 0)
+    assert load_pgm(save_pgm(image, "ascii")) == image
+    assert len(calls) == 3  # width, height and maxval
 
 
 def test_p2_load_peak_memory_stays_below_the_file():
