@@ -16,9 +16,13 @@ mark (LSB 0 -> first+1, LSB 1 -> first-1), recovers the difference, and
 restores a dropped MSB as '1'.
 
 The per-block kernels are ``embed_block_values`` and ``mark_with_case``
-for embedding and ``extract_block_value`` for extraction; the image
-walks call exactly these functions, and the exhaustive oracle in
-:mod:`pvdstego.oracle` checks them case by case.
+for embedding and ``extract_block_value`` for extraction, and the
+exhaustive oracle in :mod:`pvdstego.oracle` checks them case by case.
+The embed walk calls the embed kernels per block.  The extraction
+kernel reads only the difference and the first pixel's LSB, so the
+extraction walk looks each block's chunk text up instead
+(``chunk_texts``), and the oracle checks that lookup against
+``extract_block_value`` on every pair.
 
 One marked state is unrecoverable: the pair (0, 255) with flag 0 cannot
 be adjusted without leaving the range, so the mark step leaves it alone
@@ -36,12 +40,13 @@ Branch and mark-case labels used in reports:
 
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from operator import sub
+from operator import getitem, sub
+from typing import Iterable, Iterator
 
-from .codec import HEADER_BITS, RangeTable, deframe_payload, frame_payload
+from .codec import HEADER_BITS, RangeTable, collect_frame, deframe_payload, frame_payload
 from .imagery import GrayImage
 from .metrics import mse_psnr
-from .pvd import adjust_pair, check_capacity, embed_blocks, extract_blocks
+from .pvd import adjust_pair, check_capacity, embed_blocks
 
 BRANCH_PLAIN = "plain"
 BRANCH_DISCARD_RESOLVED = "discard_resolved"
@@ -55,6 +60,9 @@ BRANCHES = (
 )
 
 LOSSY_MARK_CASE = "keep/01-corner"
+
+# undoing the mark: LSB 0 -> first + 1, LSB 1 -> first - 1, that is first ^ 1
+_UNMARK = bytes(v ^ 1 for v in range(256))
 
 
 def one_sided_pair(
@@ -154,8 +162,8 @@ def read_flag_and_adjust(pixels: tuple[int, int]) -> tuple[int, int]:
 def extract_block_value(first: int, second: int, table: RangeTable) -> tuple[int, int]:
     """The extraction kernel: (chunk value, t) of a marked stego pair.
 
-    Undoes the mark as read_flag_and_adjust does, inlined because this
-    runs once per block.
+    Undoes the mark as read_flag_and_adjust does, inlined.  The walk
+    looks its results up instead (``chunk_texts``).
     """
     if first & 1:  # flag 1: restore the dropped MSB
         d = first - 1 - second
@@ -240,6 +248,16 @@ def apvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> Apv
     )
 
 
+def chunk_texts(firsts: bytes, seconds: Iterable[int], table: RangeTable) -> Iterator[str]:
+    """The chunk text ``extract_block_value`` gives each marked pair, by lookup."""
+    plain, msb = table.texts
+    by_flag = (plain, msb) * 128  # indexed by the first pixel, whose LSB is the flag
+    ds = map(abs, map(sub, firsts.translate(_UNMARK), seconds))
+    return map(getitem, map(by_flag.__getitem__, firsts), ds)
+
+
 def apvd_extract_image(stego: GrayImage, table: RangeTable) -> bytes:
     """Read marked blocks until the framed stream completes, then deframe."""
-    return deframe_payload(extract_blocks(stego.pixels, table, extract_block_value))
+    pixels = stego.pixels
+    seconds = memoryview(pixels)[1::2]  # a strided view: no copy
+    return deframe_payload(collect_frame(chunk_texts(pixels[0::2], seconds, table)))

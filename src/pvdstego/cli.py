@@ -254,6 +254,7 @@ def cmd_selftest(args) -> int:
     result = oracle.run(table, jobs=args.jobs)
     print(f"cases checked: {result.total_cases}")
     print(f"lossy corner blocks: {result.lossy_corner_count}")
+    print(f"lookup mismatches: {result.lookup_mismatches}")
     print("branches:")
     for branch, count in result.branch_counts.items():
         print(f"  {branch}: {count}")

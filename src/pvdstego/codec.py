@@ -4,16 +4,21 @@ Bit streams are ``bytes``, MSB-first within each byte.  The payload wire
 format is a 32-bit big-endian bit-count header followed by the message
 bits; any zero bits an embedder appends past the end of the stream to
 fill its final chunk are dropped again on deframing.  Streams are cut
-into per-block chunks and packed back together through a small integer
-accumulator that never holds more than 15 bits.
+into per-block chunks through a small integer accumulator that never
+holds more than 15 bits.  Extraction reads each block as its chunk text
+of binary digits and packs the texts back a window of blocks at a time.
 """
 
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, islice
 from typing import Iterable, Iterator
 
 DEFAULT_WIDTHS = (8, 8, 16, 32, 64, 128)
 
 HEADER_BITS = 32
+
+# blocks whose chunk texts collect_frame joins and converts at once
+_WINDOW = 4096
 
 
 class CapacityError(ValueError):
@@ -42,7 +47,8 @@ class RangeTable:
     The k-th range holds the ``widths[k]`` differences after those of
     ranges 0..k-1 and hides log2(widths[k]) bits per block.  ``t[d]`` and
     ``lower[d]`` are the bits per block and the range's lower bound for
-    each difference d, the lookups the block kernels use.
+    each difference d, the lookups the block kernels use.  ``texts``
+    holds the chunk text each difference extracts to, built on first use.
     """
 
     def __init__(self, widths: Iterable[int]):
@@ -59,6 +65,16 @@ class RangeTable:
         self.t = tuple(w.bit_length() - 1 for w in widths for _ in range(w))
         starts = accumulate(widths, initial=0)
         self.lower = tuple(start for start, w in zip(starts, widths) for _ in range(w))
+
+    @cached_property
+    def texts(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """Chunk texts by difference d, plain and with the MSB set.
+
+        The plain text of d is d - lower[d] in ``t[d]`` binary digits.
+        """
+        pairs = enumerate(zip(self.t, self.lower))
+        plain = tuple(format(d - low, f"0{t}b") for d, (t, low) in pairs)
+        return plain, tuple("1" + text[1:] for text in plain)
 
     def __eq__(self, other):
         return isinstance(other, RangeTable) and self.widths == other.widths
@@ -107,40 +123,41 @@ def read_chunks(stream: bytes, widths: Iterable[int]) -> Iterator[int]:
         left -= t
 
 
-def collect_frame(chunks: Iterable[tuple[int, int]]) -> bytes:
-    """Pack (value, t) chunks (t <= 8) until the framed stream is complete.
+def collect_frame(texts: Iterable[str]) -> bytes:
+    """Pack chunk texts (at most 8 binary digits each) until the framed stream is complete.
 
-    Consumes chunks only until the header and the payload bits it
-    declares are in, and returns the bytes that hold them (the last one
-    possibly part fill).
+    Reads the header's blocks, then the declared payload's, joining and
+    converting up to _WINDOW texts at a time.  A window of at most
+    ceil(bits still missing / 8) texts cannot pass the block that
+    completes the stream, so no block after it is read.  Returns the
+    bytes that hold the header and the declared bits, the last one
+    possibly part fill.
     """
+    texts = iter(texts)
     out = bytearray()
-    acc = held = got = 0
+    acc = held = got = 0  # acc: the last ``held`` bits, short of a byte
     target = HEADER_BITS
     declared = None
-    for value, t in chunks:
-        acc = acc << t | value
-        held += t
-        if held >= 8:
-            held -= 8
-            out.append(acc >> held)
-            acc &= (1 << held) - 1
-        got += t
-        if got >= target:
-            if declared is not None:
-                break
+    while got < target:
+        window = "".join(islice(texts, min(_WINDOW, (target - got + 7) // 8)))
+        if not window:
+            raise TruncatedPayload(
+                f"stego image ran out of blocks after {got} bits "
+                f"(declared payload: {'unknown' if declared is None else declared} bits)"
+            )
+        got += len(window)
+        held += len(window)
+        acc = acc << len(window) | int(window, 2)
+        out += (acc >> (held & 7)).to_bytes(held >> 3, "big")
+        held &= 7
+        acc &= (1 << held) - 1
+        if declared is None and got >= HEADER_BITS:
             declared = int.from_bytes(out[:4], "big")
             target += declared
-            if got >= target:
-                break
-    else:
-        raise TruncatedPayload(
-            f"stego image ran out of blocks after {got} bits "
-            f"(declared payload: {'unknown' if declared is None else declared} bits)"
-        )
     if held:
         out.append(acc << (8 - held))
-    return bytes(out[: (target + 7) // 8])
+    del out[(target + 7) // 8 :]
+    return bytes(out)
 
 
 def frame_payload(message: bytes) -> bytes:

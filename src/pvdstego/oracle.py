@@ -2,7 +2,7 @@
 
 Sweeps every pixel pair (p, q) in [0, 255]^2 and every admissible chunk
 for that pair's range (about 4 million cases for the default table) and
-checks, per case, the same per-block kernels the image walks call:
+checks, per case, the per-block kernels of both schemes:
 
 * baseline: the pair realizes the new difference exactly, stays inside
   the table's wide window, never leaves [0, 255] on the
@@ -13,13 +13,21 @@ checks, per case, the same per-block kernels the image walks call:
   MSB was 1, and extraction returns the exact chunk -- except for the
   counted lossy-corner blocks, which must be off by exactly one.
 
+The image walks call the embed kernels per block, but look each
+block's extraction up (``chunk_texts`` in each scheme).  After the sweep
+those lookups are checked against the extraction kernels: the adaptive
+one on every pair in [0, 255]^2, the baseline one on every pair of the
+wide window, where a pair more than 255 apart must fail in both.  The
+lookup check is not counted in ``total_cases``; its mismatches are
+``lookup_mismatches``.
+
 The sweep is embarrassingly parallel over first-pixel values; use
-jobs > 1 to fan out across processes.
+jobs > 1 to fan out across processes.  The lookup check runs once, in
+the calling process.
 """
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import apvd, pvd
@@ -40,6 +48,7 @@ class OracleResult:
     branch_counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(apvd.BRANCHES, 0))
     mark_case_counts: dict[str, int] = field(default_factory=dict)
     baseline_in_range_cases: int = 0
+    lookup_mismatches: int = 0
     elapsed_seconds: float = 0.0
 
     @property
@@ -129,6 +138,35 @@ def _check_pair(
                 fail(chunk, f"round trip extracted {value} over {t_back} bits")
 
 
+def _check_lookups(table: RangeTable, out: OracleResult) -> None:
+    """The walks' chunk-text lookups against the extraction kernels, pair by pair."""
+
+    def check(kernel, p: int, q: int, text: str | None) -> None:
+        try:
+            value, t = kernel(p, q, table)
+            want = format(value, f"0{t}b")
+        except IndexError:  # a difference past the end of the table's lookups
+            want = None
+        if text != want:
+            out.lookup_mismatches += 1
+            if len(out.failures) < FAIL_LIMIT:
+                out.failures.append(f"{kernel.__name__}({p}, {q}): lookup {text}, kernel {want}")
+
+    every = range(256)
+    firsts = bytes(p for p in every for _ in every)
+    seconds = bytes(every) * 256
+    for p, q, text in zip(firsts, seconds, apvd.chunk_texts(firsts, seconds, table)):
+        check(apvd.extract_block_value, p, q, text)
+    low, high = pvd.wide_window(table)
+    for p in range(low, high + 1):
+        for q in range(low, high + 1):
+            try:
+                text = next(pvd.chunk_texts((p,), (q,), table))
+            except IndexError:
+                text = None
+            check(pvd.extract_pair, p, q, text)
+
+
 def _sweep_span(widths: tuple[int, ...], p_start: int, p_stop: int) -> OracleResult:
     table = build_range_table(widths)
     window = pvd.wide_window(table)
@@ -164,10 +202,14 @@ def run(table: RangeTable, jobs: int = 1) -> OracleResult:
     if jobs <= 1:
         result = _sweep_span(widths, 0, 256)
     else:
+        # imported here: it loads multiprocessing, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
+
         step = max(1, 256 // (jobs * 4))
         spans = [(widths, lo, min(256, lo + step)) for lo in range(0, 256, step)]
         with ProcessPoolExecutor(max_workers=min(jobs, len(spans))) as pool:
             result = _merge(list(pool.map(_sweep_span, *zip(*spans))))
+    _check_lookups(table, result)
     del result.failures[FAIL_LIMIT:]
     result.lossy_corner_cases.sort()
     result.lossy_corner_count = len(result.lossy_corner_cases)

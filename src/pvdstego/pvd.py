@@ -9,9 +9,12 @@ partner).  The scheme is reproduced as defined, including its flaw: near
 and surfaced, never silently repaired; the adaptive variant in
 :mod:`pvdstego.apvd` exists to eliminate them.
 
-This module also holds the block walks both schemes share: one embed
-walk driven by a per-block function, and one extraction walk that
-decodes blocks until the framed stream is complete.
+This module also holds the embed walk both schemes share, driven by a
+per-block function.  Extraction reads only the pair's difference, so it
+looks each block's chunk text up in the table's ``texts`` instead of
+calling ``extract_pair`` per block; ``codec.collect_frame`` packs the
+texts until the framed stream is complete.  ``extract_pair`` stays the
+kernel the selftest checks the lookup against.
 """
 
 from dataclasses import dataclass
@@ -69,7 +72,6 @@ def extract_pair(first: int, second: int, table: RangeTable) -> tuple[int, int]:
 
 
 EmbedBlock = Callable[[int, int, int, RangeTable], object]
-ExtractBlock = Callable[[int, int, RangeTable], tuple[int, int]]
 
 
 def embed_blocks(
@@ -87,9 +89,11 @@ def embed_blocks(
     return map(embed_block, firsts, seconds, read_chunks(stream, widths), repeat(table))
 
 
-def extract_blocks(pixels: Sequence[int], table: RangeTable, extract_block: ExtractBlock) -> bytes:
-    """The extraction walk: decode blocks until the framed stream is in."""
-    return collect_frame(map(extract_block, pixels[0::2], pixels[1::2], repeat(table)))
+def chunk_texts(
+    firsts: Iterable[int], seconds: Iterable[int], table: RangeTable
+) -> Iterator[str]:
+    """The chunk text ``extract_pair`` gives each pair, by lookup; IndexError past 255 apart."""
+    return map(table.texts[0].__getitem__, map(abs, map(sub, firsts, seconds)))
 
 
 def check_capacity(cover: GrayImage, stream: bytes, table: RangeTable) -> int:
@@ -151,7 +155,7 @@ def pvd_extract_image(stego: Sequence[int], table: RangeTable) -> bytes:
     embed produces, raises PayloadError.
     """
     try:
-        return extract_blocks(stego, table, extract_pair)
+        return collect_frame(chunk_texts(stego[0::2], stego[1::2], table))
     except IndexError:  # a difference past the end of the table's lookups
         raise PayloadError("pixel pair differs by more than 255") from None
 

@@ -1,5 +1,8 @@
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -311,6 +314,7 @@ def test_selftest_single_bit_table(capsys):
     assert main(["selftest", "--widths", widths]) == EXIT_OK
     out = capsys.readouterr().out
     assert "cases checked: 131072" in out
+    assert "lookup mismatches: 0" in out
     assert "selftest passed" in out
 
 
@@ -352,6 +356,8 @@ def test_embed_sidecar_names_lossy_corner_bytes(tmp_path, capsys):
 
 
 def test_selftest_jobs_bounded_by_cpus_and_spans(monkeypatch, capsys):
+    import concurrent.futures
+
     from pvdstego import oracle
 
     started = []
@@ -371,7 +377,7 @@ def test_selftest_jobs_bounded_by_cpus_and_spans(monkeypatch, capsys):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
     widths = ",".join(["2"] * 128)
     assert main(["selftest", "--widths", widths, "--jobs", "100000"]) == EXIT_OK
@@ -384,3 +390,17 @@ def test_selftest_jobs_bounded_by_cpus_and_spans(monkeypatch, capsys):
     assert main(["selftest", "--widths", widths, "--jobs", "100000"]) == EXIT_OK
     assert started == [3, 256]  # unknown CPU count: one job, in-process
     capsys.readouterr()
+
+
+def test_cli_start_leaves_the_process_pool_unimported():
+    import pvdstego
+
+    src = str(Path(pvdstego.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import pvdstego.cli; "
+        "print('concurrent.futures' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "False\n"

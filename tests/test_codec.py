@@ -1,9 +1,11 @@
+from bisect import bisect_left
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pvdstego import codec
 from pvdstego.codec import (
     HEADER_BITS,
     PayloadError,
@@ -23,10 +25,10 @@ def _stream(bits: str) -> bytes:
     return bytes(int(padded[i : i + 8], 2) for i in range(0, len(padded), 8))
 
 
-def _chunks(bits: str, t: int):
-    """(value, t) chunks of a '0'/'1' string, the last one zero-filled."""
+def _texts(bits: str, t: int) -> list[str]:
+    """Chunk texts of t digits of a '0'/'1' string, the last one zero-filled."""
     bits += "0" * (-len(bits) % t)
-    return [(int(bits[i : i + t], 2), t) for i in range(0, len(bits), t)]
+    return [bits[i : i + t] for i in range(0, len(bits), t)]
 
 
 def _prefix_ranges(widths):
@@ -110,6 +112,24 @@ def test_table_equality_and_repr():
     assert repr(table) == "RangeTable(widths=8,8,16,32,64,128)"
 
 
+def test_chunk_texts_are_built_on_first_use():
+    table = build_range_table()
+    assert "texts" not in vars(table)
+    plain, msb = table.texts
+    assert (plain[0], plain[7], plain[8], plain[16], plain[255]) == (
+        "000", "111", "000", "0000", "1111111")
+    assert (msb[0], msb[7], msb[16], msb[128]) == ("100", "111", "1000", "1000000")
+    assert table.texts is table.texts
+    for widths in TABLE_WIDTHS:
+        table = build_range_table(widths)
+        plain, msb = table.texts
+        assert len(plain) == len(msb) == 256
+        for d in range(256):
+            t, value = table.t[d], d - table.lower[d]
+            assert plain[d] == format(value, f"0{t}b")
+            assert msb[d] == format(value | 1 << (t - 1), f"0{t}b")
+
+
 def test_parse_widths():
     assert parse_widths("8,8,16,32,64,128") == (8, 8, 16, 32, 64, 128)
     with pytest.raises(ValueError):
@@ -180,24 +200,79 @@ def test_chunks_round_trip_through_collect_frame(message, t):
     widths = [t] * ((8 * len(framed) + t - 1) // t)
     chunks = list(read_chunks(framed, widths))
     assert len(chunks) == len(widths)
-    assert collect_frame(zip(chunks, widths)) == framed
+    assert collect_frame(format(chunk, f"0{t}b") for chunk in chunks) == framed
 
 
 def test_frame_collector_stops_at_declared_length():
     framed = frame_payload(b"\xa5")  # 40 bits
     bits = format(int.from_bytes(framed, "big"), "040b")
-    chunks = iter(_chunks(bits, 3) + [(0b111, 3)] * 5)
-    assert collect_frame(chunks) == framed
-    # ceil(40 / 3) = 14 chunks consumed, the rest left in place
-    assert len(list(chunks)) == 5
+    texts = iter(_texts(bits, 3) + ["111"] * 5)
+    assert collect_frame(texts) == framed
+    # ceil(40 / 3) = 14 texts consumed, the rest left in place
+    assert len(list(texts)) == 5
     assert deframe_payload(framed) == b"\xa5"
 
 
 def test_frame_collector_incomplete_raises():
     with pytest.raises(TruncatedPayload):
-        collect_frame(_chunks("0" * 31, 1))
+        collect_frame(_texts("0" * 31, 1))
     # header present but payload missing
     with pytest.raises(TruncatedPayload):
-        collect_frame(_chunks(format(80, "032b"), 8))
+        collect_frame(_texts(format(80, "032b"), 8))
     # an empty payload completes with the header alone
-    assert collect_frame(_chunks("0" * HEADER_BITS, 4)) == bytes(4)
+    assert collect_frame(_texts("0" * HEADER_BITS, 4)) == bytes(4)
+
+
+def _one_shot_collect(texts: list[str]):
+    """collect_frame's bytes and the texts it reads, from one join of all of them."""
+    bits = "".join(texts)
+    target = HEADER_BITS
+    if len(bits) >= HEADER_BITS:
+        target += int(bits[:HEADER_BITS], 2)
+    if len(bits) < target:
+        return TruncatedPayload
+    ends = list(accumulate(map(len, texts)))
+    used = bisect_left(ends, target) + 1  # through the text that completes the frame
+    return _stream(bits[: ends[used - 1]])[: (target + 7) // 8], used
+
+
+@st.composite
+def _cut_frames(draw):
+    """Texts of a header, up to 120 payload bits and a tail, cut anywhere.
+
+    Cuts may fall inside the header, mid-byte, exactly at the header's
+    end or at the declared target; the payload may stop short of it.
+    """
+    declared = draw(st.integers(0, 96))
+    bits = format(declared, "032b") + draw(st.text("01", max_size=120))
+    cuts = set(draw(st.lists(st.integers(1, len(bits) - 1), max_size=40)))
+    cuts |= {c for c in (HEADER_BITS, HEADER_BITS + declared) if draw(st.booleans())}
+    texts, start = [], 0
+    for end in sorted(c for c in cuts if 0 < c < len(bits)) + [len(bits)]:
+        while end - start > 8:  # a text holds at most 8 digits
+            step = draw(st.integers(1, 8))
+            texts.append(bits[start : start + step])
+            start += step
+        texts.append(bits[start:end])
+        start = end
+    return texts
+
+
+_FRAME_8 = format(8, "032b") + "10100101"
+
+
+@settings(max_examples=300)
+@given(_cut_frames(), st.integers(1, 5) | st.just(codec._WINDOW))
+@example(_texts(_FRAME_8, 3), 1)  # cuts mid-byte, inside the header and past the target
+@example(_texts(_FRAME_8 + "1" * 16, 8), 2)  # cuts exactly at the header's end and the target
+@example(_texts(_FRAME_8[:-1], 1), 3)  # one bit short
+@example(_texts("0" * 30, 5), 1)  # inside the header
+def test_windowed_collector_matches_one_shot_join(texts, window):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(codec, "_WINDOW", window)
+        rest = iter(texts)
+        try:
+            got = collect_frame(rest), len(texts) - len(list(rest))
+        except TruncatedPayload:
+            got = TruncatedPayload
+    assert got == _one_shot_collect(texts)

@@ -164,6 +164,24 @@ def test_extract_rejects_pairs_beyond_any_difference():
         pvd_extract_image([-64, 319] * 40, TABLE)
 
 
+def _chunk_raster(bits: str) -> list[int]:
+    """Blocks (0, 128 + c) carrying the 7-bit chunks of a '0'/'1' string, default table."""
+    bits += "0" * (-len(bits) % 7)
+    return [v for i in range(0, len(bits), 7) for v in (0, 128 + int(bits[i : i + 7], 2))]
+
+
+def test_extract_reads_no_block_past_the_frame():
+    # 41 bits declared in all: the 6th block completes the frame, one bit past it
+    blocks = _chunk_raster(format(9, "032b") + "101101101" + "1")
+    assert len(blocks) == 2 * 6
+    # the bit past the frame is kept, then zeros to the byte
+    framed = (9).to_bytes(4, "big") + bytes([0b10110110, 0b11000000])
+    wide = [-64, 319]  # 383 apart
+    assert pvd_extract_image(blocks + wide, TABLE) == framed
+    with pytest.raises(PayloadError, match="more than 255"):
+        pvd_extract_image(blocks[:-2] + wide, TABLE)
+
+
 def test_clamp_raster():
     assert clamp_raster([-3, 0, 128, 255, 310]) == bytes([0, 0, 128, 255, 255])
     assert clamp_raster([0, 7, 255]) == bytes([0, 7, 255])

@@ -13,6 +13,7 @@ import json
 import math
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,56 @@ def test_oracle_passes_the_single_bit_table():
     expected_corner = {((255 - d) >> 1, ((255 - d) >> 1) + d, 1) for d in (254, 255)}
     assert set(result.lossy_corner_cases) == expected_corner
     assert result.lossy_corner_count == 2
+
+
+@pytest.mark.parametrize("table", TABLES, ids=lambda t: repr(t.widths[:3]))
+def test_text_lookups_match_the_kernels_on_every_pair(table):
+    out = oracle.OracleResult()
+    oracle._check_lookups(table, out)
+    assert (out.lookup_mismatches, out.failures) == (0, [])
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_lookup_check_counts_a_wrong_text(which):
+    table = build_range_table()
+    texts = list(table.texts)
+    wrong = list(texts[which])
+    wrong[5] = "111" if wrong[5] != "111" else "000"
+    texts[which] = tuple(wrong)
+    vars(table)["texts"] = tuple(texts)  # what the cached property would hold
+    out = oracle.OracleResult()
+    oracle._check_lookups(table, out)
+    # apvd pairs whose unmarked difference is 5, flag 0 (which 0) or 1
+    expected = sum(
+        abs((p ^ 1) - q) == 5 for p in range(which, 256, 2) for q in range(256))
+    if which == 0:  # and the plain pairs 5 apart inside the wide window [-64, 319]
+        expected += 2 * (384 - 5)
+    assert out.lookup_mismatches == expected
+    assert len(out.failures) == oracle.FAIL_LIMIT
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_extraction_memory_stays_within_three_rasters():
+    cover = _mid_gray_cover("noise", 512, 512)  # no pvd violations, so bytes hold the stego
+    _, net = capacity(cover, TABLE)
+    payload = random.Random(0).randbytes(net)
+    stego = apvd_embed_image(cover, payload, TABLE).stego
+    wide = pvd_embed_image(cover, frame_payload(payload), TABLE)
+    assert wide.violations == 0
+    plain = bytes(wide.stego)
+    size = len(cover.pixels)
+    assert _traced_peak(lambda: apvd_extract_image(stego, TABLE)) < 3 * size
+    assert _traced_peak(lambda: pvd_extract_image(plain, TABLE)) < 3 * size
+    assert apvd_extract_image(stego, TABLE) == payload
+    assert deframe_payload(pvd_extract_image(plain, TABLE)) == payload
 
 
 # --- work in proportion to the payload -----------------------------------------
