@@ -6,15 +6,7 @@ difference-based embedder (``pvd``), whose stego pixels can leave the
 every pixel in range at identical capacity.
 """
 
-from .apvd import (
-    ApvdReport,
-    apvd_embed_image,
-    apvd_extract_image,
-    embed_block_values,
-    extract_block_value,
-    mark_with_case,
-    read_flag_and_adjust,
-)
+from .apvd import ApvdReport, apvd_embed_image, apvd_extract_image
 from .codec import (
     CapacityError,
     PayloadError,
@@ -26,14 +18,7 @@ from .codec import (
 )
 from .imagery import GrayImage, PgmError, load_pgm, save_pgm, synthetic_cover
 from .metrics import ComparisonRow, capacity, compare
-from .pvd import (
-    PvdResult,
-    embed_pair,
-    extract_pair,
-    pvd_embed_image,
-    pvd_extract_image,
-    wide_window,
-)
+from .pvd import PvdResult, pvd_embed_image, pvd_extract_image
 
 __version__ = "0.1.0"
 
@@ -53,17 +38,10 @@ __all__ = [
     "capacity",
     "compare",
     "deframe_payload",
-    "embed_block_values",
-    "embed_pair",
-    "extract_block_value",
-    "extract_pair",
     "frame_payload",
     "load_pgm",
-    "mark_with_case",
     "pvd_embed_image",
     "pvd_extract_image",
-    "read_flag_and_adjust",
     "save_pgm",
     "synthetic_cover",
-    "wide_window",
 ]

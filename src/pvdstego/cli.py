@@ -8,6 +8,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from itertools import islice
 from pathlib import Path
 
@@ -18,10 +19,8 @@ from .codec import (
     CapacityError,
     PayloadError,
     RangeTable,
-    build_range_table,
     deframe_payload,
     frame_payload,
-    parse_widths,
 )
 from .imagery import SYNTHETIC_KINDS, GrayImage, PgmError, load_pgm, save_pgm, synthetic_cover
 from .pvd import clamp_raster, pvd_embed_image, pvd_extract_image
@@ -95,17 +94,17 @@ def _build_parser() -> _Parser:
 
 def _table_from(args) -> RangeTable:
     try:
-        return build_range_table(parse_widths(args.widths))
+        widths = [int(part) for part in args.widths.split(",")]
+    except ValueError:
+        raise _UsageError(f"invalid width list {args.widths!r}") from None
+    try:
+        return RangeTable(widths)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
 
 
-def _load_cover(path: str) -> GrayImage:
+def _load_cover(path: str | Path) -> GrayImage:
     return load_pgm(Path(path).read_bytes())
-
-
-def _write_sidecar(out_path: str, report: dict):
-    Path(out_path + ".json").write_text(json.dumps(report, indent=2) + "\n")
 
 
 def _json_db(value: float):
@@ -164,7 +163,7 @@ def cmd_embed(args) -> int:
         psnr_db=_json_db(result.psnr_db),
     )
     Path(args.out).write_bytes(stego_bytes)
-    _write_sidecar(args.out, report)
+    Path(args.out + ".json").write_text(json.dumps(report, indent=2) + "\n")
     print(
         f"embedded {report['bits_embedded']} bits with {args.method} -> {args.out} "
         f"(psnr {report['psnr_db']} dB, violations {report['violations']})"
@@ -209,8 +208,8 @@ def _compare_covers(args) -> list[tuple[str, GrayImage]]:
         files = sorted(path.glob("*.pgm"))
         if not files:
             raise PgmError(f"no .pgm files in {path}")
-        return [(f.stem, load_pgm(f.read_bytes())) for f in files]
-    return [(path.stem, load_pgm(path.read_bytes()))]
+        return [(f.stem, _load_cover(f)) for f in files]
+    return [(path.stem, _load_cover(path))]
 
 
 def cmd_compare(args) -> int:
@@ -229,21 +228,7 @@ def cmd_compare(args) -> int:
     if args.format == "csv":
         sys.stdout.write(metrics.rows_to_csv(rows))
     elif args.format == "json":
-        print(
-            json.dumps(
-                [
-                    {
-                        "cover": r.cover,
-                        "method": r.method,
-                        "capacity_bytes": r.capacity_bytes,
-                        "psnr_db": _json_db(r.psnr_db),
-                        "violations": r.violations,
-                    }
-                    for r in rows
-                ],
-                indent=2,
-            )
-        )
+        print(json.dumps([{**asdict(r), "psnr_db": _json_db(r.psnr_db)} for r in rows], indent=2))
     else:
         sys.stdout.write(metrics.rows_to_table(rows))
     return EXIT_OK

@@ -49,9 +49,12 @@ class RangeTable:
     ``lower[d]`` are the bits per block and the range's lower bound for
     each difference d, the lookups the block kernels use.  ``texts``
     holds the chunk text each difference extracts to, built on first use.
+
+    Raises ValueError unless every width is a power of two >= 2 and the
+    widths sum to 256, so each range hides exactly log2(width) bits.
     """
 
-    def __init__(self, widths: Iterable[int]):
+    def __init__(self, widths: Iterable[int] = DEFAULT_WIDTHS):
         widths = tuple(widths)
         # every width before the sum: (2**40, 256 - 2**40) sums to 256 and
         # would ask for 2**40-entry lookups
@@ -83,22 +86,7 @@ class RangeTable:
         return f"RangeTable(widths={','.join(map(str, self.widths))})"
 
 
-def build_range_table(widths: Iterable[int] = DEFAULT_WIDTHS) -> RangeTable:
-    """Build the prefix-sum partition of [0, 255] from a list of widths.
-
-    Raises ValueError unless every width is a power of two >= 2 and the
-    widths sum to 256, so each range hides exactly log2(width) bits.
-    """
-    return RangeTable(widths)
-
-
-def parse_widths(text: str) -> tuple[int, ...]:
-    """Parse a comma-separated width list such as "8,8,16,32,64,128"."""
-    try:
-        widths = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ValueError(f"invalid width list {text!r}") from None
-    return widths
+build_range_table = RangeTable  # the same class, under the name callers build tables by
 
 
 def read_chunks(stream: bytes, widths: Iterable[int]) -> Iterator[int]:

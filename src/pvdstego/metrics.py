@@ -1,7 +1,7 @@
 """Image-quality and payload metrics: MSE/PSNR, capacity, method comparison."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import sub
 from typing import Iterable, Sequence
 
@@ -78,21 +78,20 @@ def compare(
     ]
 
 
+_HEADER = tuple(f.name for f in fields(ComparisonRow))
+
+
+def _cells(r: ComparisonRow) -> tuple[str, ...]:
+    """One row's cells, for both formats: ``_HEADER``'s fields as text."""
+    return r.cover, r.method, str(r.capacity_bytes), format_db(r.psnr_db), str(r.violations)
+
+
 def rows_to_csv(rows: Sequence[ComparisonRow]) -> str:
-    lines = ["cover,method,capacity_bytes,psnr_db,violations"]
-    for r in rows:
-        lines.append(
-            f"{r.cover},{r.method},{r.capacity_bytes},{format_db(r.psnr_db)},{r.violations}"
-        )
-    return "\n".join(lines) + "\n"
+    return "\n".join(map(",".join, [_HEADER, *map(_cells, rows)])) + "\n"
 
 
 def rows_to_table(rows: Sequence[ComparisonRow]) -> str:
-    header = ("cover", "method", "capacity_bytes", "psnr_db", "violations")
-    cells = [header] + [
-        (r.cover, r.method, str(r.capacity_bytes), format_db(r.psnr_db), str(r.violations))
-        for r in rows
-    ]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
+    cells = [_HEADER, *map(_cells, rows)]
+    widths = [max(map(len, column)) for column in zip(*cells)]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in cells]
     return "\n".join(lines) + "\n"

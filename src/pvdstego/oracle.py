@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import apvd, pvd
-from .codec import RangeTable, build_range_table
+from .codec import RangeTable
 
 FAIL_LIMIT = 5  # per sweep span; enough to diagnose, cheap to carry
 
@@ -50,10 +50,6 @@ class OracleResult:
     baseline_in_range_cases: int = 0
     lookup_mismatches: int = 0
     elapsed_seconds: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def expected_case_count(table: RangeTable) -> int:
@@ -168,7 +164,7 @@ def _check_lookups(table: RangeTable, out: OracleResult) -> None:
 
 
 def _sweep_span(widths: tuple[int, ...], p_start: int, p_stop: int) -> OracleResult:
-    table = build_range_table(widths)
+    table = RangeTable(widths)
     window = pvd.wide_window(table)
     out = OracleResult()
     for p in range(p_start, p_stop):

@@ -22,7 +22,7 @@ from itertools import chain, repeat
 from operator import sub
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .codec import CapacityError, PayloadError, RangeTable, build_range_table
+from .codec import CapacityError, PayloadError, RangeTable
 from .codec import collect_frame, read_chunks
 from .imagery import GrayImage
 from .metrics import capacity, mse_psnr
@@ -38,7 +38,7 @@ def wide_window(table: RangeTable) -> tuple[int, int]:
     return -h, 255 + h
 
 
-_CLAMP_LOW, _CLAMP_HIGH = wide_window(build_range_table((256,)))
+_CLAMP_LOW, _CLAMP_HIGH = wide_window(RangeTable((256,)))
 # keyed by every value of the widest window: anything else raises KeyError
 _CLAMPED = {v: min(max(v, 0), 255) for v in range(_CLAMP_LOW, _CLAMP_HIGH + 1)}
 # indexed by the value itself, so a negative value counts back from the end
@@ -152,10 +152,13 @@ def pvd_extract_image(stego: Sequence[int], table: RangeTable) -> bytes:
 
     Returns the bytes holding the header and the declared payload bits,
     for codec.deframe_payload.  A pair further apart than 255, which no
-    embed produces, raises PayloadError.
+    embed produces, raises PayloadError.  The pairs come from one
+    iterator read twice, which copies no raster: the lookup reads only
+    the pair's difference, so the order of its two pixels cannot matter.
     """
+    pixels = iter(stego)
     try:
-        return collect_frame(chunk_texts(stego[0::2], stego[1::2], table))
+        return collect_frame(chunk_texts(pixels, pixels, table))
     except IndexError:  # a difference past the end of the table's lookups
         raise PayloadError("pixel pair differs by more than 255") from None
 

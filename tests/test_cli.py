@@ -210,15 +210,20 @@ def test_usage_errors(argv, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize(
-    "widths",
-    # the last sums to 256 with a 2**40 width: rejected before any lookup is built
-    ["8,8", "7,9,16,32,64,128", "8,x,16", "1099511627776,-1099511627520"],
-)
+BAD_WIDTHS = {
+    "8,8": "range widths must sum to 256, got 16",
+    "7,9,16,32,64,128": "range width 7 is not a power of two >= 2",
+    "8,x,16": "invalid width list '8,x,16'",
+    # sums to 256 with a 2**40 width: rejected before any lookup is built
+    "1099511627776,-1099511627520": "range width -1099511627520 is not a power of two >= 2",
+}
+
+
+@pytest.mark.parametrize("widths", BAD_WIDTHS)
 def test_bad_widths(tmp_path, cover_path, widths, capsys):
     code = main(["capacity", "--cover", str(cover_path), "--widths", widths])
     assert code == EXIT_USAGE
-    assert "usage error" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"usage error: {BAD_WIDTHS[widths]}\n"
 
 
 def test_capacity_json(tmp_path, cover_path, capsys):

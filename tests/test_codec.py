@@ -14,7 +14,6 @@ from pvdstego.codec import (
     collect_frame,
     deframe_payload,
     frame_payload,
-    parse_widths,
     read_chunks,
 )
 
@@ -128,12 +127,6 @@ def test_chunk_texts_are_built_on_first_use():
             t, value = table.t[d], d - table.lower[d]
             assert plain[d] == format(value, f"0{t}b")
             assert msb[d] == format(value | 1 << (t - 1), f"0{t}b")
-
-
-def test_parse_widths():
-    assert parse_widths("8,8,16,32,64,128") == (8, 8, 16, 32, 64, 128)
-    with pytest.raises(ValueError):
-        parse_widths("8,x,16")
 
 
 @pytest.mark.parametrize("bits,value", [("010", 2), ("111", 7), ("000", 0)])

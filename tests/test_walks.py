@@ -37,7 +37,6 @@ from pvdstego.codec import (
     build_range_table,
     deframe_payload,
     frame_payload,
-    parse_widths,
 )
 from pvdstego.imagery import GrayImage, PgmError, load_pgm, save_pgm, synthetic_cover
 from pvdstego.metrics import capacity, mse_psnr
@@ -216,15 +215,17 @@ def test_extraction_memory_stays_within_three_rasters():
     size = len(cover.pixels)
     assert _traced_peak(lambda: apvd_extract_image(stego, TABLE)) < 3 * size
     assert _traced_peak(lambda: pvd_extract_image(plain, TABLE)) < 3 * size
+    assert _traced_peak(lambda: pvd_extract_image(wide.stego, TABLE)) < 3 * size  # a list raster
     assert apvd_extract_image(stego, TABLE) == payload
     assert deframe_payload(pvd_extract_image(plain, TABLE)) == payload
+    assert deframe_payload(pvd_extract_image(wide.stego, TABLE)) == payload
 
 
 # --- work in proportion to the payload -----------------------------------------
 
 # min(t) of 3, 1 and 7: the bound min(t) * blocks below which no capacity pass runs
 BOUND_WIDTHS = ["8,8,16,32,64,128", "2,2,4,8,16,32,64,128", "128,128"]
-BOUND_TABLES = [build_range_table(parse_widths(text)) for text in BOUND_WIDTHS]
+BOUND_TABLES = [build_range_table(map(int, text.split(","))) for text in BOUND_WIDTHS]
 
 
 def _refuse_capacity_pass(monkeypatch):
@@ -278,7 +279,7 @@ def test_stream_of_min_t_bits_per_block_skips_the_capacity_pass(
 def test_stream_past_true_capacity_is_refused_with_the_true_count(
     tmp_path, capsys, widths, method
 ):
-    table = build_range_table(parse_widths(widths))
+    table = build_range_table(map(int, widths.split(",")))
     cover = _mid_gray_cover("noise", 23, 23)
     raw, _ = capacity(cover, table)
     framed = bytes(raw // 8 + 1)
@@ -303,7 +304,7 @@ def test_stream_past_true_capacity_is_refused_with_the_true_count(
 
 def _check_prefix_work(cover: GrayImage, payload: bytes, widths: str):
     """Embeds that touch only the walked prefix report what full arrays give."""
-    table = build_range_table(parse_widths(widths))
+    table = build_range_table(map(int, widths.split(",")))
     report = apvd_embed_image(cover, payload, table)
     assert (report.mse, report.psnr_db) == mse_psnr(cover.pixels, report.stego.pixels)
 
@@ -339,7 +340,7 @@ def test_prefix_work_matches_full_arrays(data):
     rng = random.Random(data.draw(st.integers(0, 2**32)))
     cover = GrayImage(width, height, _random_raster(rng, width * height))
     widths = data.draw(st.sampled_from(BOUND_WIDTHS))
-    _, net = capacity(cover, build_range_table(parse_widths(widths)))
+    _, net = capacity(cover, build_range_table(map(int, widths.split(","))))
     _check_prefix_work(cover, rng.randbytes(data.draw(st.integers(0, net))), widths)
 
 
