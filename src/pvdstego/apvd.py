@@ -18,11 +18,13 @@ restores a dropped MSB as '1'.
 The per-block kernels are ``embed_block_values`` and ``mark_with_case``
 for embedding and ``extract_block_value`` for extraction, and the
 exhaustive oracle in :mod:`pvdstego.oracle` checks them case by case.
-The embed walk calls the embed kernels per block.  The extraction
-kernel reads only the difference and the first pixel's LSB, so the
-extraction walk looks each block's chunk text up instead
-(``chunk_texts``), and the oracle checks that lookup against
-``extract_block_value`` on every pair.
+The embed walk (``embed_walk``) is one loop that inlines the common
+block -- plain attempt in range, flag-0 mark without a boundary
+sub-case -- and calls the two embed kernels for every other block, so
+the boundary logic is written once.  The extraction kernel reads only
+the difference and the first pixel's LSB, so the extraction walk looks
+each block's chunk text up instead (``chunk_texts``).  The oracle runs
+both walks over every case and compares them with the kernels.
 
 One marked state is unrecoverable: the pair (0, 255) with flag 0 cannot
 be adjusted without leaving the range, so the mark step leaves it alone
@@ -39,14 +41,13 @@ Branch and mark-case labels used in reports:
 """
 
 from dataclasses import dataclass
-from itertools import accumulate, compress
-from operator import getitem, sub
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .codec import HEADER_BITS, RangeTable, collect_frame, deframe_payload, frame_payload
+from .codec import HEADER_BITS, CapacityError, RangeTable
+from .codec import collect_frame, deframe_payload, frame_payload
 from .imagery import GrayImage
 from .metrics import mse_psnr
-from .pvd import adjust_pair, check_capacity, embed_blocks
+from .pvd import adjust_pair
 
 BRANCH_PLAIN = "plain"
 BRANCH_DISCARD_RESOLVED = "discard_resolved"
@@ -61,8 +62,13 @@ BRANCHES = (
 
 LOSSY_MARK_CASE = "keep/01-corner"
 
-# undoing the mark: LSB 0 -> first + 1, LSB 1 -> first - 1, that is first ^ 1
-_UNMARK = bytes(v ^ 1 for v in range(256))
+# every mark case; the walk records each block's as its index here, and
+# the first four, 2 * (LSB of first) + (LSB of second), need no sub-case
+MARK_CASES = (
+    *("keep/00", "keep/01", "keep/10", "keep/11", "keep/01-top", LOSSY_MARK_CASE),
+    *("drop/00", "drop/01", "drop/10", "drop/10-bottom", "drop/11"),
+)
+_CASE_CODE = {case: code for code, case in enumerate(MARK_CASES)}
 
 
 def one_sided_pair(
@@ -177,6 +183,82 @@ def extract_block_value(first: int, second: int, table: RangeTable) -> tuple[int
     return d - table.lower[d], table.t[d]
 
 
+def embed_walk(
+    pixels: Sequence[int], stream: bytes, table: RangeTable
+) -> tuple[bytearray, dict[str, int], dict[str, int], list[tuple[int, int | None]]]:
+    """The adaptive embed walk over each block until the stream is out.
+
+    Returns the marked stego values of the blocks walked, the branch
+    counts, the mark-case counts in the order the cases first occur, and
+    the lossy corners as ``ApvdReport`` lists them.  One loop: chunks
+    are cut as in ``pvd.embed_walk``, and a block whose plain attempt
+    stays in range and whose flag-0 mark needs no boundary sub-case is
+    embedded and marked inline; every other block goes through
+    ``embed_block_values`` and ``mark_with_case``.  Raises CapacityError,
+    with the sum of t over every block as the bits available, if the
+    stream outlasts the blocks.
+    """
+    t_of, lower = table.t, table.lower
+    next_byte = iter(stream).__next__
+    needed = left = 8 * len(stream)  # left: stream bits not yet embedded
+    acc = held = 0  # acc: the last ``held`` of them read from the stream
+    stego = bytearray()
+    put = stego.append
+    codes = bytearray()  # each block's mark case, as its index in MARK_CASES
+    record = codes.append
+    branch_counts = dict.fromkeys(BRANCHES, 0)
+    lossy_corners = []
+    px = iter(pixels)
+    for p, q in zip(px, px):
+        if left <= 0:
+            break
+        d = p - q if p > q else q - p
+        t = t_of[d]
+        if held < t:
+            acc = acc << 8 | (next_byte() if left > held else 0)
+            held += 8
+        held -= t
+        chunk = acc >> held
+        acc &= (1 << held) - 1
+        left -= t
+        m = lower[d] + chunk - d  # d' - d; adjust_pair inlined as in pvd.embed_walk
+        if m > 0:
+            h = m >> 1
+            a, b = (p + m - h, q - h) if p >= q else (p - h, q + m - h)
+        else:
+            h = -m >> 1
+            a, b = (p + m + h, q + h) if p >= q else (p + h, q + m + h)
+        if 0 <= a <= 255 and 0 <= b <= 255 and (a & 1 or b < 255):
+            if a & 1:  # keep/1x: the first pixel steps down to LSB 0
+                put(a - 1)
+                put(b)
+                record(2 + (b & 1))
+            else:  # keep/0x: the second pixel steps up
+                put(a)
+                put(b + 1)
+                record(b & 1)
+        else:
+            pair, flag, branch = embed_block_values(p, q, chunk, table)
+            pair, case = mark_with_case(pair, flag)
+            if case == LOSSY_MARK_CASE:
+                # the chunk is all ones, and its last bit, framed-stream
+                # bit end - 1, reads back flipped
+                end = needed - left
+                byte = (end - 1 - HEADER_BITS) // 8 if end > HEADER_BITS else None
+                lossy_corners.append((len(codes), byte))
+            stego += bytes(pair)
+            record(_CASE_CODE[case])
+            branch_counts[branch] += 1
+    else:
+        if left > 0:
+            raise CapacityError(needed, needed - left)
+    others = sum(n for branch, n in branch_counts.items() if branch != BRANCH_PLAIN)
+    branch_counts[BRANCH_PLAIN] = len(codes) - others
+    seen = sorted((codes.find(code), code) for code in range(len(MARK_CASES)))
+    mark_case_counts = {MARK_CASES[code]: codes.count(code) for first, code in seen if first >= 0}
+    return stego, branch_counts, mark_case_counts, lossy_corners
+
+
 @dataclass
 class ApvdReport:
     """One embed run: stego image plus branch and quality statistics.
@@ -199,65 +281,46 @@ class ApvdReport:
         return len(self.lossy_corners)
 
 
-def _corrupted_bytes(pixels: bytes, blocks: list[int], table: RangeTable) -> list[int | None]:
-    """The payload byte each lossy-corner block corrupts (None: a header bit).
-
-    A corner's chunk is all ones and extraction flips only its last bit.
-    For block k that is framed-stream bit (t of blocks 0..k, summed) - 1.
-    """
-    if not blocks:
-        return []
-    selected = bytearray(blocks[-1] + 1)
-    for block in blocks:
-        selected[block] = 1
-    view = memoryview(pixels)  # strided views: no copy of the raster
-    widths = map(table.t.__getitem__, map(abs, map(sub, view[0::2], view[1::2])))
-    ends = compress(accumulate(widths), selected)
-    return [(end - 1 - HEADER_BITS) // 8 if end > HEADER_BITS else None for end in ends]
-
-
 def apvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> ApvdReport:
-    """Frame the payload and embed it block by block; stego stays 8-bit."""
+    """Frame the payload and embed it block by block; stego stays 8-bit.
+
+    Raises CapacityError if the framed payload does not fit.
+    """
     framed = frame_payload(payload)
-    bits = check_capacity(cover, framed, table)
-    stego: list[int] = []
-    branch_counts = dict.fromkeys(BRANCHES, 0)
-    mark_case_counts: dict[str, int] = {}
-    corner_blocks = []
-    for pixels, flag, branch in embed_blocks(cover.pixels, framed, table, embed_block_values):
-        pixels, case = mark_with_case(pixels, flag)
-        if case == LOSSY_MARK_CASE:
-            corner_blocks.append(len(stego) // 2)
-        stego += pixels
-        branch_counts[branch] += 1
-        mark_case_counts[case] = mark_case_counts.get(case, 0) + 1
+    stego, branch_counts, mark_case_counts, lossy_corners = embed_walk(cover.pixels, framed, table)
     walked = len(stego)
     cover_view = memoryview(cover.pixels)  # slices of a view copy nothing
-    image = GrayImage(cover.width, cover.height, bytes(stego) + cover_view[walked:])
     mse, psnr_db = mse_psnr(cover_view[:walked], stego, len(cover.pixels))
-    corrupted = _corrupted_bytes(cover.pixels, corner_blocks, table)
+    stego += cover_view[walked:]
     return ApvdReport(
-        stego=image,
-        bits_embedded=bits,
+        stego=GrayImage(cover.width, cover.height, bytes(stego)),
+        bits_embedded=8 * len(framed),
         blocks_used=walked // 2,
         branch_counts=branch_counts,
         mark_case_counts=mark_case_counts,
-        lossy_corners=list(zip(corner_blocks, corrupted)),
+        lossy_corners=lossy_corners,
         mse=mse,
         psnr_db=psnr_db,
     )
 
 
-def chunk_texts(firsts: bytes, seconds: Iterable[int], table: RangeTable) -> Iterator[str]:
-    """The chunk text ``extract_block_value`` gives each marked pair, by lookup."""
-    plain, msb = table.texts
-    by_flag = (plain, msb) * 128  # indexed by the first pixel, whose LSB is the flag
-    ds = map(abs, map(sub, firsts.translate(_UNMARK), seconds))
-    return map(getitem, map(by_flag.__getitem__, firsts), ds)
+def chunk_texts(pixels: Iterable[int], table: RangeTable) -> Iterator[str]:
+    """The chunk text ``extract_block_value`` gives each marked pair, by lookup.
+
+    The pairs come from one iterator read twice, which copies no raster.
+    The mark is undone as in ``read_flag_and_adjust``, and a set flag
+    reads the text with the MSB set.  Both lookups are extended to index
+    -d with the text of d, so the signed difference indexes them.
+    """
+    plain, msb = (texts + texts[:0:-1] for texts in table.texts)
+    px = iter(pixels)
+    for first, second in zip(px, px):
+        if first & 1:
+            yield msb[first - 1 - second]
+        else:
+            yield plain[first + 1 - second]
 
 
 def apvd_extract_image(stego: GrayImage, table: RangeTable) -> bytes:
     """Read marked blocks until the framed stream completes, then deframe."""
-    pixels = stego.pixels
-    seconds = memoryview(pixels)[1::2]  # a strided view: no copy
-    return deframe_payload(collect_frame(chunk_texts(pixels[0::2], seconds, table)))
+    return deframe_payload(collect_frame(chunk_texts(stego.pixels, table)))

@@ -222,9 +222,9 @@ def cmd_compare(args) -> int:
         if fixed_payload is None:
             _, net = metrics.capacity(cover, table)
             payload = random.Random(args.seed).randbytes(net)
+            rows.extend(metrics.compare(cover, payload, table, name=name, net_bytes=net))
         else:
-            payload = fixed_payload
-        rows.extend(metrics.compare(cover, payload, table, name=name))
+            rows.extend(metrics.compare(cover, fixed_payload, table, name=name))
     if args.format == "csv":
         sys.stdout.write(metrics.rows_to_csv(rows))
     elif args.format == "json":
@@ -240,6 +240,7 @@ def cmd_selftest(args) -> int:
     print(f"cases checked: {result.total_cases}")
     print(f"lossy corner blocks: {result.lossy_corner_count}")
     print(f"lookup mismatches: {result.lookup_mismatches}")
+    print(f"walk mismatches: {result.walk_mismatches}")
     print("branches:")
     for branch, count in result.branch_counts.items():
         print(f"  {branch}: {count}")

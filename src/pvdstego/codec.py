@@ -3,15 +3,16 @@
 Bit streams are ``bytes``, MSB-first within each byte.  The payload wire
 format is a 32-bit big-endian bit-count header followed by the message
 bits; any zero bits an embedder appends past the end of the stream to
-fill its final chunk are dropped again on deframing.  Streams are cut
-into per-block chunks through a small integer accumulator that never
-holds more than 15 bits.  Extraction reads each block as its chunk text
-of binary digits and packs the texts back a window of blocks at a time.
+fill its final chunk are dropped again on deframing.  Each embed walk
+cuts the stream into per-block chunks itself, through an integer
+accumulator that never holds more than 15 bits.  Extraction reads each
+block as its chunk text of binary digits, and ``collect_frame`` packs
+the texts back a window of blocks at a time.
 """
 
 from functools import cached_property
 from itertools import accumulate, islice
-from typing import Iterable, Iterator
+from typing import Iterable
 
 DEFAULT_WIDTHS = (8, 8, 16, 32, 64, 128)
 
@@ -87,28 +88,6 @@ class RangeTable:
 
 
 build_range_table = RangeTable  # the same class, under the name callers build tables by
-
-
-def read_chunks(stream: bytes, widths: Iterable[int]) -> Iterator[int]:
-    """Cut a stream into MSB-first chunks of the given widths (each <= 8).
-
-    Stops once every bit of the stream has been handed out; the final
-    chunk is zero-filled on the right, and the extractor discards the
-    fill via the length header.
-    """
-    data = iter(stream)
-    left = 8 * len(stream)
-    acc = held = 0
-    for t in widths:
-        if left <= 0:
-            return
-        if held < t:
-            acc = acc << 8 | next(data, 0)
-            held += 8
-        held -= t
-        yield acc >> held
-        acc &= (1 << held) - 1
-        left -= t
 
 
 def collect_frame(texts: Iterable[str]) -> bytes:

@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import dataclass, fields
-from operator import sub
 from typing import Iterable, Sequence
 
 from .codec import HEADER_BITS, RangeTable, frame_payload
@@ -50,24 +49,34 @@ def capacity(cover: GrayImage, table: RangeTable) -> tuple[int, int]:
     both methods; net bytes account for the length header (and are
     clamped at zero for covers too small to hold even the header).
     """
-    px = cover.pixels
-    raw = sum(map(table.t.__getitem__, map(abs, map(sub, px[0::2], px[1::2]))))
+    t_of = table.t
+    raw = 0
+    px = iter(cover.pixels)
+    for p, q in zip(px, px):
+        raw += t_of[p - q if p > q else q - p]
     return raw, max(0, (raw - HEADER_BITS) // 8)
 
 
 def compare(
-    cover: GrayImage, payload: bytes, table: RangeTable, name: str = "cover"
+    cover: GrayImage,
+    payload: bytes,
+    table: RangeTable,
+    name: str = "cover",
+    net_bytes: int | None = None,
 ) -> list[ComparisonRow]:
     """Embed the same payload with both methods and report one row each.
 
-    The violating method's PSNR is computed against its unclamped wide
-    raster, measuring the distortion the arithmetic actually produced.
+    ``net_bytes`` is the cover's net capacity, if the caller has already
+    computed it; otherwise the capacity pass runs here.  The violating
+    method's PSNR is computed against its unclamped wide raster,
+    measuring the distortion the arithmetic actually produced.
     """
     # imported here: these modules sit above metrics in the layering
     from .apvd import apvd_embed_image
     from .pvd import pvd_embed_image
 
-    _, net_bytes = capacity(cover, table)
+    if net_bytes is None:
+        _, net_bytes = capacity(cover, table)
     framed = frame_payload(payload)
     base = pvd_embed_image(cover, framed, table)
     adaptive = apvd_embed_image(cover, payload, table)

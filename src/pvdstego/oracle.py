@@ -13,13 +13,17 @@ checks, per case, the per-block kernels of both schemes:
   MSB was 1, and extraction returns the exact chunk -- except for the
   counted lossy-corner blocks, which must be off by exactly one.
 
-The image walks call the embed kernels per block, but look each
-block's extraction up (``chunk_texts`` in each scheme).  After the sweep
-those lookups are checked against the extraction kernels: the adaptive
-one on every pair in [0, 255]^2, the baseline one on every pair of the
-wide window, where a pair more than 255 apart must fail in both.  The
-lookup check is not counted in ``total_cases``; its mismatches are
-``lookup_mismatches``.
+The image walks inline the embed kernels' arithmetic and look each
+block's extraction up (``embed_walk`` and ``chunk_texts`` in each
+scheme), so they are checked against the kernels too.  After the sweep
+of each first-pixel value p, all four walks run over the row's cases in
+sweep order and must give the kernels' pairs and chunk texts block for
+block, and the adaptive walk their branch and mark-case counts; the
+blocks and counts that differ are ``walk_mismatches``.  After the whole
+sweep the extraction lookups are checked on their own, on every pair:
+the adaptive one on [0, 255]^2, the baseline one on the wide window,
+where a pair more than 255 apart must fail in both; its mismatches are
+``lookup_mismatches``.  Neither check is counted in ``total_cases``.
 
 The sweep is embarrassingly parallel over first-pixel values; use
 jobs > 1 to fan out across processes.  The lookup check runs once, in
@@ -29,11 +33,16 @@ the calling process.
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import zip_longest
 
 from . import apvd, pvd
 from .codec import RangeTable
 
 FAIL_LIMIT = 5  # per sweep span; enough to diagnose, cheap to carry
+
+# _TEXTS[t][value]: the chunk text of a kernel's (value, t)
+_TEXTS = tuple(tuple(format(v, f"0{t}b") for v in range(1 << t)) for t in range(9))
 
 
 @dataclass
@@ -49,6 +58,7 @@ class OracleResult:
     mark_case_counts: dict[str, int] = field(default_factory=dict)
     baseline_in_range_cases: int = 0
     lookup_mismatches: int = 0
+    walk_mismatches: int = 0
     elapsed_seconds: float = 0.0
 
 
@@ -62,8 +72,19 @@ def expected_case_count(table: RangeTable) -> int:
 
 
 def _check_pair(
-    p: int, q: int, table: RangeTable, window: tuple[int, int], out: OracleResult
+    p: int,
+    q: int,
+    table: RangeTable,
+    window: tuple[int, int],
+    out: OracleResult,
+    row: tuple[list, list, list, list],
 ) -> None:
+    """Check every chunk of block (p, q); append the kernels' outputs to ``row``.
+
+    ``row`` collects, case by case, the baseline pair and chunk text and
+    the marked pair and chunk text, for ``_check_walks``.
+    """
+    base, base_texts, marked, marked_texts = row
     d = abs(q - p)
     t = table.t[d]
     lower = table.lower[d]
@@ -90,11 +111,13 @@ def _check_pair(
         in_range = 0 <= a1 <= 255 and 0 <= a2 <= 255
         if d_new <= d and not in_range:
             fail(chunk, f"difference-decreasing baseline left range: ({a1},{a2})")
+        value, t_back = pvd.extract_pair(a1, a2, table)
         if in_range:
             out.baseline_in_range_cases += 1
-            value, t_back = pvd.extract_pair(a1, a2, table)
             if value != chunk or t_back != t:
                 fail(chunk, f"baseline round trip gave {value} over {t_back} bits")
+        base += a1, a2
+        base_texts.append(_TEXTS[t_back][value])
 
         # adaptive scheme
         (b1, b2), flag, branch = apvd.embed_block_values(p, q, chunk, table)
@@ -110,14 +133,15 @@ def _check_pair(
             if realized <= d:
                 fail(chunk, f"one-sided fallback fired although d'={realized} <= d={d}")
 
-        marked, case = apvd.mark_with_case((b1, b2), flag)
+        (m1, m2), case = apvd.mark_with_case((b1, b2), flag)
         marks[case] = marks.get(case, 0) + 1
-        m1, m2 = marked
         if not (0 <= m1 <= 255 and 0 <= m2 <= 255):
             fail(chunk, f"marked pair ({m1},{m2}) out of range")
 
-        flag_back, adjusted = apvd.read_flag_and_adjust(marked)
+        flag_back, adjusted = apvd.read_flag_and_adjust((m1, m2))
         value, t_back = apvd.extract_block_value(m1, m2, table)
+        marked += m1, m2
+        marked_texts.append(_TEXTS[t_back][value])
         if case == apvd.LOSSY_MARK_CASE:
             out.lossy_corner_cases.append((p, q, chunk))
             # documented loss: the unmarkable (0, 255) block reads one low
@@ -148,19 +172,84 @@ def _check_lookups(table: RangeTable, out: OracleResult) -> None:
             if len(out.failures) < FAIL_LIMIT:
                 out.failures.append(f"{kernel.__name__}({p}, {q}): lookup {text}, kernel {want}")
 
-    every = range(256)
-    firsts = bytes(p for p in every for _ in every)
-    seconds = bytes(every) * 256
-    for p, q, text in zip(firsts, seconds, apvd.chunk_texts(firsts, seconds, table)):
+    pairs = [(p, q) for p in range(256) for q in range(256)]
+    raster = bytes(v for pair in pairs for v in pair)
+    for (p, q), text in zip(pairs, apvd.chunk_texts(raster, table)):
         check(apvd.extract_block_value, p, q, text)
     low, high = pvd.wide_window(table)
     for p in range(low, high + 1):
         for q in range(low, high + 1):
             try:
-                text = next(pvd.chunk_texts((p,), (q,), table))
+                text = next(pvd.chunk_texts((p, q), table))
             except IndexError:
                 text = None
             check(pvd.extract_pair, p, q, text)
+
+
+def _check_walks(
+    p: int,
+    table: RangeTable,
+    out: OracleResult,
+    row: tuple[list, list, list, list],
+    counts_before: tuple[dict[str, int], dict[str, int]],
+) -> None:
+    """All four walks over row p's cases, against the kernels' outputs in ``row``.
+
+    The cover holds block (p, q) once per chunk of its range and the
+    stream hands each block its chunk, so each embed walk meets the
+    row's cases in sweep order.  Filler (0, 0) blocks after them take
+    the zero fill of the stream's last byte; they enter the expected
+    counts, not the pair comparison.  The extraction walks read the
+    kernels' stego pairs.  ``counts_before`` are the sweep's branch and
+    mark-case counts before the row.
+    """
+    base, base_texts, marked, marked_texts = row
+    ts = [table.t[abs(p - q)] for q in range(256)]
+    cover = b"".join(bytes((p, q)) * (1 << t) for q, t in enumerate(ts))
+    bits = "".join("".join(_TEXTS[t]) for t in ts)
+    fill = -len(bits) % 8
+    stream = (int(bits, 2) << fill).to_bytes((len(bits) + fill) // 8, "big")
+    cover += bytes(2 * fill)  # a filler block takes at least one bit
+    n = len(base_texts)
+
+    try:
+        wide = pvd.embed_walk(cover, stream, table)
+        stego, branches, cases, _ = apvd.embed_walk(cover, stream, table)
+    except ValueError as exc:  # CapacityError, or a value the stego bytearray refuses
+        out.walk_mismatches += 1
+        if len(out.failures) < FAIL_LIMIT:
+            out.failures.append(f"row p={p}: an embed walk raised {exc!r}")
+        return
+    pair, flag, filler_branch = apvd.embed_block_values(0, 0, 0, table)
+    filler_case = apvd.mark_with_case(pair, flag)[1]
+    fillers = len(stego) // 2 - n
+    branches_before, cases_before = counts_before
+    want_branches = {k: v - branches_before[k] for k, v in out.branch_counts.items()}
+    want_branches[filler_branch] += fillers
+    want_cases = {k: v - cases_before.get(k, 0) for k, v in out.mark_case_counts.items()}
+    want_cases[filler_case] = want_cases.get(filler_case, 0) + fillers
+    want_cases = {k: v for k, v in want_cases.items() if v}
+
+    compare = partial(_compare_walk, out, p)
+    compare("pvd embed", wide[: 2 * n], base, 2)
+    compare("apvd embed", list(stego[: 2 * n]), marked, 2)
+    compare("pvd extraction", list(pvd.chunk_texts(base, table)), base_texts)
+    compare("apvd extraction", list(apvd.chunk_texts(marked, table)), marked_texts)
+    compare("apvd branch count", sorted(branches.items()), sorted(want_branches.items()))
+    compare("apvd mark-case count", sorted(cases.items()), sorted(want_cases.items()))
+
+
+def _compare_walk(
+    out: OracleResult, p: int, what: str, got: list, want: list, per: int = 1
+) -> None:
+    """Count the items, ``per`` values each, where a walk disagrees with the kernels."""
+    if got == want:
+        return
+    got, want = zip(*[iter(got)] * per), zip(*[iter(want)] * per)
+    bad = sum(g != w for g, w in zip_longest(got, want))
+    out.walk_mismatches += bad
+    if len(out.failures) < FAIL_LIMIT:
+        out.failures.append(f"row p={p}: {bad} {what} item(s) differ from the kernels")
 
 
 def _sweep_span(widths: tuple[int, ...], p_start: int, p_stop: int) -> OracleResult:
@@ -168,8 +257,11 @@ def _sweep_span(widths: tuple[int, ...], p_start: int, p_stop: int) -> OracleRes
     window = pvd.wide_window(table)
     out = OracleResult()
     for p in range(p_start, p_stop):
+        counts_before = dict(out.branch_counts), dict(out.mark_case_counts)
+        row: tuple[list, list, list, list] = ([], [], [], [])
         for q in range(256):
-            _check_pair(p, q, table, window, out)
+            _check_pair(p, q, table, window, out, row)
+        _check_walks(p, table, out, row, counts_before)
     return out
 
 
@@ -180,6 +272,7 @@ def _merge(parts: list[OracleResult]) -> OracleResult:
         merged.failures += part.failures
         merged.lossy_corner_cases += part.lossy_corner_cases
         merged.baseline_in_range_cases += part.baseline_in_range_cases
+        merged.walk_mismatches += part.walk_mismatches
         for k, v in part.branch_counts.items():
             merged.branch_counts[k] = merged.branch_counts.get(k, 0) + v
         for k, v in part.mark_case_counts.items():

@@ -9,23 +9,22 @@ partner).  The scheme is reproduced as defined, including its flaw: near
 and surfaced, never silently repaired; the adaptive variant in
 :mod:`pvdstego.apvd` exists to eliminate them.
 
-This module also holds the embed walk both schemes share, driven by a
-per-block function.  Extraction reads only the pair's difference, so it
-looks each block's chunk text up in the table's ``texts`` instead of
-calling ``extract_pair`` per block; ``codec.collect_frame`` packs the
-texts until the framed stream is complete.  ``extract_pair`` stays the
-kernel the selftest checks the lookup against.
+``embed_pair`` and ``extract_pair`` are the block kernels, which the
+selftest checks case by case.  The image walks do not call them per
+block: ``embed_walk`` is one loop with the kernel's arithmetic inlined,
+cutting each chunk from the stream as it goes, and extraction looks each
+block's chunk text up in the table's ``texts`` (``chunk_texts``) for
+``codec.collect_frame`` to pack.  The selftest also runs both walks over
+every case and compares them with the kernels.
 """
 
 from dataclasses import dataclass
-from itertools import chain, repeat
 from operator import sub
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .codec import CapacityError, PayloadError, RangeTable
-from .codec import collect_frame, read_chunks
+from .codec import CapacityError, PayloadError, RangeTable, collect_frame
 from .imagery import GrayImage
-from .metrics import capacity, mse_psnr
+from .metrics import mse_psnr
 
 
 def wide_window(table: RangeTable) -> tuple[int, int]:
@@ -71,43 +70,55 @@ def extract_pair(first: int, second: int, table: RangeTable) -> tuple[int, int]:
     return d - table.lower[d], table.t[d]
 
 
-EmbedBlock = Callable[[int, int, int, RangeTable], object]
+def embed_walk(pixels: Sequence[int], stream: bytes, table: RangeTable) -> list[int]:
+    """The baseline embed walk: ``embed_pair`` over each block until the stream is out.
 
-
-def embed_blocks(
-    pixels: Sequence[int], stream: bytes, table: RangeTable, embed_block: EmbedBlock
-) -> Iterator:
-    """The embed walk: ``embed_block(p, q, chunk, table)`` over each block.
-
-    Returns the lazy map of the kernel over the blocks in order, ending
-    when the stream is out; each scheme folds it into its own raster and
-    copies the rest of the cover.  The caller has checked that the
-    stream fits.
+    Returns the stego values of the blocks walked, in order.  One loop
+    with the kernel's arithmetic inlined: each chunk is cut from an
+    accumulator of at most 15 bits, the final one zero-filled to its
+    block's t.  Raises CapacityError, with the sum of t over every block
+    as the bits available, if the stream outlasts the blocks.
     """
-    firsts, seconds = pixels[0::2], pixels[1::2]
-    widths = map(table.t.__getitem__, map(abs, map(sub, firsts, seconds)))
-    return map(embed_block, firsts, seconds, read_chunks(stream, widths), repeat(table))
+    t_of, lower = table.t, table.lower
+    next_byte = iter(stream).__next__
+    needed = left = 8 * len(stream)  # left: stream bits not yet embedded
+    acc = held = 0  # acc: the last ``held`` of them read from the stream
+    stego: list[int] = []
+    px = iter(pixels)
+    for p, q in zip(px, px):
+        if left <= 0:
+            break
+        d = p - q if p > q else q - p
+        t = t_of[d]
+        if held < t:
+            acc = acc << 8 | (next_byte() if left > held else 0)
+            held += 8
+        held -= t
+        m = lower[d] + (acc >> held) - d  # d' - d
+        acc &= (1 << held) - 1
+        left -= t
+        # adjust_pair: the larger pixel (p on a tie) moves ceil(|m| / 2), its partner floor
+        if m > 0:
+            h = m >> 1
+            stego += (p + m - h, q - h) if p >= q else (p - h, q + m - h)
+        else:
+            h = -m >> 1
+            stego += (p + m + h, q + h) if p >= q else (p + h, q + m + h)
+    else:
+        if left > 0:
+            raise CapacityError(needed, needed - left)
+    return stego
 
 
-def chunk_texts(
-    firsts: Iterable[int], seconds: Iterable[int], table: RangeTable
-) -> Iterator[str]:
-    """The chunk text ``extract_pair`` gives each pair, by lookup; IndexError past 255 apart."""
-    return map(table.texts[0].__getitem__, map(abs, map(sub, firsts, seconds)))
+def chunk_texts(pixels: Iterable[int], table: RangeTable) -> Iterator[str]:
+    """The chunk text ``extract_pair`` gives each pair, by lookup; IndexError past 255 apart.
 
-
-def check_capacity(cover: GrayImage, stream: bytes, table: RangeTable) -> int:
-    """Return the stream's bit count; raise CapacityError if it does not fit.
-
-    Every block carries at least min(t) bits, so a stream within
-    min(t) * blocks fits without the capacity pass over the cover.
+    The pairs come from one iterator read twice, which copies no raster:
+    the lookup reads only the pair's difference, so the order of its two
+    pixels cannot matter.
     """
-    needed = 8 * len(stream)
-    if needed > min(table.t) * (len(cover.pixels) // 2):
-        available, _ = capacity(cover, table)
-        if needed > available:
-            raise CapacityError(needed, available)
-    return needed
+    px = iter(pixels)
+    return map(table.texts[0].__getitem__, map(abs, map(sub, px, px)))
 
 
 @dataclass
@@ -133,10 +144,10 @@ def pvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> PvdR
 
     The caller frames the stream (see codec.frame_payload); the final
     chunk is zero-filled to its block's t.  Untouched blocks and any odd
-    trailing pixel are copied verbatim.
+    trailing pixel are copied verbatim.  Raises CapacityError if the
+    stream does not fit.
     """
-    needed = check_capacity(cover, payload, table)
-    stego = list(chain.from_iterable(embed_blocks(cover.pixels, payload, table, embed_pair)))
+    stego = embed_walk(cover.pixels, payload, table)
     violations = 0
     if stego and (min(stego) < 0 or max(stego) > 255):
         violations = sum(map(_OUTSIDE.__getitem__, stego))
@@ -144,7 +155,7 @@ def pvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> PvdR
     cover_view = memoryview(cover.pixels)  # slices of a view copy nothing
     mse, psnr_db = mse_psnr(cover_view[:walked], stego, len(cover.pixels))
     stego += cover_view[walked:]
-    return PvdResult(stego, violations, needed, walked // 2, mse, psnr_db)
+    return PvdResult(stego, violations, 8 * len(payload), walked // 2, mse, psnr_db)
 
 
 def pvd_extract_image(stego: Sequence[int], table: RangeTable) -> bytes:
@@ -152,13 +163,11 @@ def pvd_extract_image(stego: Sequence[int], table: RangeTable) -> bytes:
 
     Returns the bytes holding the header and the declared payload bits,
     for codec.deframe_payload.  A pair further apart than 255, which no
-    embed produces, raises PayloadError.  The pairs come from one
-    iterator read twice, which copies no raster: the lookup reads only
-    the pair's difference, so the order of its two pixels cannot matter.
+    embed produces, raises PayloadError.  No raster is copied, whether
+    ``stego`` is a list or bytes.
     """
-    pixels = iter(stego)
     try:
-        return collect_frame(chunk_texts(pixels, pixels, table))
+        return collect_frame(chunk_texts(stego, table))
     except IndexError:  # a difference past the end of the table's lookups
         raise PayloadError("pixel pair differs by more than 255") from None
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pvdstego import cli, metrics, pvd
+from pvdstego import apvd, cli, metrics, pvd
 from pvdstego.apvd import apvd_embed_image
 from pvdstego.cli import (
     EXIT_CAPACITY,
@@ -130,8 +130,9 @@ def test_short_embed_skips_the_capacity_pass(tmp_path, monkeypatch, capsys, meth
     def refuse(cover, table):
         raise AssertionError("capacity pass over the whole cover")
 
+    # no embed runs the pass; neither embedder holds a reference the patch would miss
+    assert "capacity" not in vars(pvd) and "capacity" not in vars(apvd)
     monkeypatch.setattr(metrics, "capacity", refuse)
-    monkeypatch.setattr(pvd, "capacity", refuse)
     assert main([
         "embed", "--method", method, "--cover", str(cover_file),
         "--payload", str(payload_file), "--out", str(tmp_path / "stego.pgm"),
@@ -295,7 +296,43 @@ def test_selftest_small_table(capsys):
     assert main(["selftest", "--widths", widths]) == EXIT_OK
     out = capsys.readouterr().out
     assert "cases checked: 524288" in out
+    assert "walk mismatches: 0" in out
     assert "selftest passed" in out
+
+
+def test_selftest_fails_when_a_walk_disagrees_with_the_kernels(monkeypatch, capsys):
+    real = pvd.embed_walk
+
+    def off_by_one(pixels, stream, table):
+        stego = real(pixels, stream, table)
+        stego[0] += 1  # the first block of every row
+        return stego
+
+    monkeypatch.setattr(pvd, "embed_walk", off_by_one)
+    widths = ",".join(["8"] * 32)
+    assert main(["selftest", "--widths", widths]) == cli.EXIT_SELFTEST
+    captured = capsys.readouterr()
+    assert "walk mismatches: 256" in captured.out
+    assert "selftest passed" not in captured.out
+    assert "pvd embed item(s) differ from the kernels" in captured.err
+
+
+@pytest.mark.parametrize("with_payload", [False, True])
+def test_compare_runs_one_capacity_pass_per_cover(tmp_path, monkeypatch, capsys, with_payload):
+    real = metrics.capacity
+    covers = []
+
+    def counted(cover, table):
+        covers.append(cover)
+        return real(cover, table)
+
+    monkeypatch.setattr(metrics, "capacity", counted)
+    argv = ["compare", "--size", "32", "--format", "csv"]
+    if with_payload:
+        argv += ["--payload", str(_write_payload(tmp_path, b"hi"))]
+    assert main(argv) == EXIT_OK
+    assert len(covers) == len({id(cover) for cover in covers}) == 3
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 6
 
 
 def test_selftest_parallel_matches_serial(capsys):

@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 
 from pvdstego import codec
 from pvdstego.codec import (
+    DEFAULT_WIDTHS,
     HEADER_BITS,
+    CapacityError,
     PayloadError,
     TruncatedPayload,
     build_range_table,
     collect_frame,
     deframe_payload,
     frame_payload,
-    read_chunks,
 )
+from pvdstego.pvd import embed_walk
 
 
 def _stream(bits: str) -> bytes:
@@ -129,26 +131,45 @@ def test_chunk_texts_are_built_on_first_use():
             assert msb[d] == format(value | 1 << (t - 1), f"0{t}b")
 
 
+def _walked_chunks(stream: bytes, diffs, widths=DEFAULT_WIDTHS) -> list[int]:
+    """The chunks the pvd embed walk cuts from a stream, read back from its stego pairs.
+
+    Block k of the cover is (64, 64 + diffs[k]).  A stego pair stays in
+    its block's range, so its difference d' reads back as the chunk
+    d' - lower[d']; on a flat block (d = 0, lower 0) that is d' itself.
+    """
+    table = build_range_table(widths)
+    cover = bytes(v for d in diffs for v in (64, 64 + d))
+    stego = embed_walk(cover, stream, table)
+    walked = [abs(a - b) for a, b in zip(stego[0::2], stego[1::2])]
+    return [d - table.lower[d] for d in walked]
+
+
 @pytest.mark.parametrize("bits,value", [("010", 2), ("111", 7), ("000", 0)])
 def test_read_chunk_msb_first(bits, value):
-    assert list(read_chunks(_stream(bits), [3])) == [value]
+    # the byte's five zero bits after the chunk fill the next two blocks
+    assert _walked_chunks(_stream(bits), [0] * 3) == [value, 0, 0]
 
 
 def test_cursor_positions_and_exhaustion():
-    # chunks come from consecutive positions, one width each
-    assert list(read_chunks(_stream("10110011"), [2, 3, 3])) == [0b10, 0b110, 0b011]
-    # the reader stops once the stream is out, however many widths remain
-    assert list(read_chunks(_stream("10110011"), [3] * 10)) == [0b101, 0b100, 0b110]
-    # and stops early when the widths run out
-    assert list(read_chunks(b"\xff\xff", [8])) == [0xFF]
-    # chunks of up to 8 bits may straddle a byte boundary
-    assert list(read_chunks(b"\x0f\xf0", [4, 8, 4])) == [0, 0xFF, 0]
+    # chunks come from consecutive positions, one block's t each (2, 3 and 3 here)
+    four_first = (4, 4, 8, 16, 32, 64, 128)
+    assert _walked_chunks(_stream("10110011"), [0, 8, 8], four_first) == [0b10, 0b110, 0b011]
+    # the walk stops once the stream is out, however many blocks remain
+    assert _walked_chunks(_stream("10110011"), [0] * 10) == [0b101, 0b100, 0b110]
+    # and refuses a stream that outlasts the blocks, with the bits they hold
+    assert _walked_chunks(b"\xff\xff", [0, 0], (256,)) == [0xFF, 0xFF]
+    with pytest.raises(CapacityError) as info:
+        _walked_chunks(b"\xff\xff", [0], (256,))
+    assert (info.value.needed_bits, info.value.available_bits) == (16, 8)
+    # chunks of up to 7 bits may straddle a byte boundary (t = 3, 7, 3, 3 here)
+    assert _walked_chunks(b"\x0f\xf0", [0, 128, 0, 0]) == [0, 0b0111111, 0b110, 0]
 
 
 def test_read_padded_zero_fills_tail():
-    assert list(read_chunks(_stream("1"), [3])) == [0b100]
-    assert list(read_chunks(b"\x80", [3, 3, 3, 3])) == [0b100, 0b000, 0b000]
-    assert list(read_chunks(b"", [3])) == []
+    assert _walked_chunks(_stream("1"), [0] * 3) == [0b100, 0, 0]
+    assert _walked_chunks(b"\x80", [0] * 4) == [0b100, 0b000, 0b000]
+    assert _walked_chunks(b"", [0]) == []
 
 
 def test_frame_empty_message():
@@ -190,9 +211,10 @@ def test_frame_deframe_identity(message):
 @given(st.binary(max_size=512), st.integers(1, 8))
 def test_chunks_round_trip_through_collect_frame(message, t):
     framed = frame_payload(message)
-    widths = [t] * ((8 * len(framed) + t - 1) // t)
-    chunks = list(read_chunks(framed, widths))
-    assert len(chunks) == len(widths)
+    widths = (1 << t,) * (256 >> t)  # t bits in every block
+    blocks = (8 * len(framed) + t - 1) // t
+    chunks = _walked_chunks(framed, [0] * blocks, widths)
+    assert len(chunks) == blocks
     assert collect_frame(format(chunk, f"0{t}b") for chunk in chunks) == framed
 
 

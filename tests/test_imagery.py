@@ -16,7 +16,7 @@ from pvdstego.imagery import (
     save_pgm,
     synthetic_cover,
 )
-from pvdstego.pvd import embed_blocks
+from pvdstego.pvd import embed_walk
 
 TABLE = build_range_table()
 
@@ -140,9 +140,15 @@ def _blocks(img: GrayImage) -> list[tuple[int, int]]:
 
 
 def _walked_blocks(img: GrayImage) -> list[tuple[int, int]]:
-    """The blocks the shared embed walk hands its kernel, for a stream that outlasts them."""
-    stream = bytes(len(img.pixels))  # 8 bits per pixel, at most 7 per block
-    return list(embed_blocks(img.pixels, stream, TABLE, lambda p, q, chunk, table: (p, q)))
+    """The blocks the pvd embed walk forms, as its stego pairs.
+
+    Under the one-range table every block takes one stream byte, and the
+    byte |p - q| leaves block (p, q) as it is; any other pairing of the
+    pixels would change the pairs.
+    """
+    stream = bytes(abs(p - q) for p, q in _blocks(img))
+    stego = embed_walk(img.pixels, stream, build_range_table((256,)))
+    return list(zip(stego[0::2], stego[1::2]))
 
 
 def test_block_sequence_row_major_pairs():

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvdstego import cli, oracle, pvd
+from pvdstego import apvd, cli, metrics, oracle, pvd
 from pvdstego.apvd import (
     BRANCHES,
     apvd_embed_image,
@@ -195,6 +195,60 @@ def test_lookup_check_counts_a_wrong_text(which):
     assert len(out.failures) == oracle.FAIL_LIMIT
 
 
+def test_walk_check_covers_the_zero_fill_of_a_row():
+    # row 1 of this table holds five 1-bit blocks: its stream ends 6 bits
+    # short of a byte, and the fill lands in filler blocks
+    table = build_range_table((2, 2, 4, 8, 16, 32, 64, 128))
+    assert sum(table.t[abs(1 - q)] << table.t[abs(1 - q)] for q in range(256)) % 8 == 2
+    part = oracle._sweep_span(table.widths, 0, 3)
+    assert (part.walk_mismatches, part.failures) == (0, [])
+
+
+def _spoil_walk(stego, *rest):
+    stego[1] += 1
+    return stego, *rest
+
+
+def _spoil_count(result, which: int):
+    """One more of the first label in the apvd walk's branch (1) or mark-case (2) counts."""
+    result = list(result)
+    counts = result[which] = dict(result[which])
+    counts[next(iter(counts))] += 1
+    return tuple(result)
+
+
+@pytest.mark.parametrize(
+    "module,name,spoil,what",
+    [
+        (pvd, "embed_walk", lambda stego: stego[:2] + [stego[2] - 1] + stego[3:], "pvd embed"),
+        (apvd, "embed_walk", lambda result: _spoil_walk(*result), "apvd embed"),
+        (apvd, "embed_walk", lambda result: _spoil_count(result, 1), "apvd branch count"),
+        (apvd, "embed_walk", lambda result: _spoil_count(result, 2), "apvd mark-case count"),
+        (pvd, "chunk_texts", lambda texts: ["", *list(texts)[1:]], "pvd extraction"),
+        (apvd, "chunk_texts", lambda texts: ["", *list(texts)[1:]], "apvd extraction"),
+    ],
+)
+def test_walk_check_counts_a_walk_that_disagrees(monkeypatch, module, name, spoil, what):
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: spoil(real(*args)))
+    part = oracle._sweep_span(TABLE.widths, 100, 102)
+    assert part.walk_mismatches == 2  # one item in each row
+    assert part.failures == [
+        f"row p={p}: 1 {what} item(s) differ from the kernels" for p in (100, 101)
+    ]
+
+
+def test_walk_check_counts_a_walk_that_raises(monkeypatch):
+    def out_of_range(pixels, stream, table):
+        bytearray().append(256)
+
+    monkeypatch.setattr(apvd, "embed_walk", out_of_range)
+    part = oracle._sweep_span(TABLE.widths, 100, 102)
+    assert part.walk_mismatches == 2
+    assert [f[: f.index(":")] for f in part.failures] == ["row p=100", "row p=101"]
+    assert all("an embed walk raised ValueError" in f for f in part.failures)
+
+
 def _traced_peak(call) -> int:
     tracemalloc.start()
     try:
@@ -223,7 +277,7 @@ def test_extraction_memory_stays_within_three_rasters():
 
 # --- work in proportion to the payload -----------------------------------------
 
-# min(t) of 3, 1 and 7: the bound min(t) * blocks below which no capacity pass runs
+# min(t) of 3, 1 and 7: a stream of min(t) bits per block always fits
 BOUND_WIDTHS = ["8,8,16,32,64,128", "2,2,4,8,16,32,64,128", "128,128"]
 BOUND_TABLES = [build_range_table(map(int, text.split(","))) for text in BOUND_WIDTHS]
 
@@ -232,7 +286,9 @@ def _refuse_capacity_pass(monkeypatch):
     def refuse(cover, table):
         raise AssertionError("capacity pass over the whole cover")
 
-    monkeypatch.setattr(pvd, "capacity", refuse)
+    # neither embedder holds a reference of its own that the patch would miss
+    assert "capacity" not in vars(pvd) and "capacity" not in vars(apvd)
+    monkeypatch.setattr(metrics, "capacity", refuse)
 
 
 def _mid_gray_cover(kind: str, width: int, height: int) -> GrayImage:
@@ -251,12 +307,13 @@ def test_stream_of_min_t_bits_per_block_skips_the_capacity_pass(
     monkeypatch, table, kind, width, height
 ):
     cover = _mid_gray_cover(kind, width, height)
+    raw, _ = capacity(cover, table)
     blocks = len(cover.pixels) // 2
     bits = min(table.t) * blocks
     payload = random.Random(bits).randbytes(bits // 8 - HEADER_BITS // 8)
     framed = frame_payload(payload)
     assert 8 * len(framed) == bits
-    _refuse_capacity_pass(monkeypatch)
+    _refuse_capacity_pass(monkeypatch)  # no embed runs the pass, whatever the stream
 
     result = pvd_embed_image(cover, framed, table)
     assert result.bits_embedded == bits
@@ -269,9 +326,22 @@ def test_stream_of_min_t_bits_per_block_skips_the_capacity_pass(
         assert result.blocks_used == report.blocks_used == blocks
         assert report.stego.pixels[2 * blocks :] == cover.pixels[2 * blocks :]
 
-    # one byte past the bound runs the pass
-    with pytest.raises(AssertionError, match="capacity pass"):
-        pvd_embed_image(cover, framed + b"\x00", table)
+    # one byte past the bound fits exactly when the true capacity allows it
+    if bits + 8 <= raw:
+        assert pvd_embed_image(cover, framed + b"\x00", table).bits_embedded == bits + 8
+    else:
+        with pytest.raises(CapacityError) as info:
+            pvd_embed_image(cover, framed + b"\x00", table)
+        assert info.value.available_bits == raw
+    # a stream past the true capacity is refused with the cover's true bit count
+    past = bytes(raw // 8 + 1)
+    for embed in (
+        lambda: pvd_embed_image(cover, past, table),
+        lambda: apvd_embed_image(cover, past[HEADER_BITS // 8 :], table),
+    ):
+        with pytest.raises(CapacityError) as info:
+            embed()
+        assert (info.value.needed_bits, info.value.available_bits) == (8 * len(past), raw)
 
 
 @pytest.mark.parametrize("widths", BOUND_WIDTHS)
