@@ -24,7 +24,8 @@ sub-case -- and calls the two embed kernels for every other block, so
 the boundary logic is written once.  The extraction kernel reads only
 the difference and the first pixel's LSB, so the extraction walk looks
 each block's chunk text up instead (``chunk_texts``).  The oracle runs
-both walks over every case and compares them with the kernels.
+the embed walk over every case and the lookup over every pair, and
+compares them with the kernels.
 
 One marked state is unrecoverable: the pair (0, 255) with flag 0 cannot
 be adjusted without leaving the range, so the mark step leaves it alone
@@ -43,10 +44,10 @@ Branch and mark-case labels used in reports:
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from . import metrics
 from .codec import HEADER_BITS, CapacityError, RangeTable
 from .codec import collect_frame, deframe_payload, frame_payload
 from .imagery import GrayImage
-from .metrics import mse_psnr
 from .pvd import adjust_pair
 
 BRANCH_PLAIN = "plain"
@@ -284,13 +285,17 @@ class ApvdReport:
 def apvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> ApvdReport:
     """Frame the payload and embed it block by block; stego stays 8-bit.
 
-    Raises CapacityError if the framed payload does not fit.
+    Raises CapacityError if the framed payload does not fit; one over
+    max(t) bits per block is refused before the walk, after a capacity
+    pass for the true bit count.
     """
     framed = frame_payload(payload)
+    if 8 * len(framed) > max(table.t) * (len(cover.pixels) // 2):
+        raise CapacityError(8 * len(framed), metrics.capacity(cover, table)[0])
     stego, branch_counts, mark_case_counts, lossy_corners = embed_walk(cover.pixels, framed, table)
     walked = len(stego)
     cover_view = memoryview(cover.pixels)  # slices of a view copy nothing
-    mse, psnr_db = mse_psnr(cover_view[:walked], stego, len(cover.pixels))
+    mse, psnr_db = metrics.mse_psnr(cover_view[:walked], stego, len(cover.pixels))
     stego += cover_view[walked:]
     return ApvdReport(
         stego=GrayImage(cover.width, cover.height, bytes(stego)),

@@ -12,7 +12,7 @@ from dataclasses import asdict
 from itertools import islice
 from pathlib import Path
 
-from . import metrics, oracle
+from . import metrics
 from .apvd import apvd_embed_image, apvd_extract_image
 from .codec import (
     DEFAULT_WIDTHS,
@@ -235,6 +235,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import oracle  # imported here: no other command needs it
+
     table = _table_from(args)
     result = oracle.run(table, jobs=args.jobs)
     print(f"cases checked: {result.total_cases}")

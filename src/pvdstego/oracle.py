@@ -13,41 +13,35 @@ checks, per case, the per-block kernels of both schemes:
   MSB was 1, and extraction returns the exact chunk -- except for the
   counted lossy-corner blocks, which must be off by exactly one.
 
-The image walks inline the embed kernels' arithmetic and look each
-block's extraction up (``embed_walk`` and ``chunk_texts`` in each
-scheme), so they are checked against the kernels too.  After the sweep
-of each first-pixel value p, all four walks run over the row's cases in
-sweep order and must give the kernels' pairs and chunk texts block for
-block, and the adaptive walk their branch and mark-case counts; the
-blocks and counts that differ are ``walk_mismatches``.  After the whole
-sweep the extraction lookups are checked on their own, on every pair:
-the adaptive one on [0, 255]^2, the baseline one on the wide window,
-where a pair more than 255 apart must fail in both; its mismatches are
-``lookup_mismatches``.  Neither check is counted in ``total_cases``.
-
-The sweep is embarrassingly parallel over first-pixel values; use
-jobs > 1 to fan out across processes.  The lookup check runs once, in
-the calling process.
+The sweep goes one row, one first-pixel value p, at a time.  Once the
+kernels have run over a row's cases, both embed walks (``embed_walk`` in
+each scheme, which inline the kernels' arithmetic) run once over a cover
+holding those cases in sweep order and must give the kernels' stego
+pairs block for block, and the adaptive walk the row's branch and
+mark-case counts: the blocks and counts that differ are
+``walk_mismatches``.  After the sweep, the walks' extraction lookups
+(``chunk_texts`` in each scheme) are checked once on every pair they can
+meet: the adaptive one on [0, 255]^2, the baseline one on the wide
+window, where a pair more than 255 apart must fail in both; their
+mismatches are ``lookup_mismatches``.  Neither check is counted in
+``total_cases``.  ``run`` merges the rows' results with ``_merge``,
+in-process or, with jobs > 1, across worker processes.
 """
 
 import os
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import zip_longest
 
 from . import apvd, pvd
 from .codec import RangeTable
 
-FAIL_LIMIT = 5  # per sweep span; enough to diagnose, cheap to carry
-
-# _TEXTS[t][value]: the chunk text of a kernel's (value, t)
-_TEXTS = tuple(tuple(format(v, f"0{t}b") for v in range(1 << t)) for t in range(9))
+FAIL_LIMIT = 5  # counterexamples kept per result, merged ones too; enough to diagnose
 
 
 @dataclass
 class OracleResult:
-    """Sweep counters; each span fills one and ``_merge`` sums them."""
+    """Sweep counters; each row fills one and ``_merge`` sums them."""
 
     total_cases: int = 0
     failures: list[str] = field(default_factory=list)
@@ -77,14 +71,10 @@ def _check_pair(
     table: RangeTable,
     window: tuple[int, int],
     out: OracleResult,
-    row: tuple[list, list, list, list],
+    base: list[tuple[int, int]],
+    marked: list[tuple[int, int]],
 ) -> None:
-    """Check every chunk of block (p, q); append the kernels' outputs to ``row``.
-
-    ``row`` collects, case by case, the baseline pair and chunk text and
-    the marked pair and chunk text, for ``_check_walks``.
-    """
-    base, base_texts, marked, marked_texts = row
+    """Check every chunk of block (p, q); append its stego pairs to ``base`` and ``marked``."""
     d = abs(q - p)
     t = table.t[d]
     lower = table.lower[d]
@@ -111,13 +101,12 @@ def _check_pair(
         in_range = 0 <= a1 <= 255 and 0 <= a2 <= 255
         if d_new <= d and not in_range:
             fail(chunk, f"difference-decreasing baseline left range: ({a1},{a2})")
-        value, t_back = pvd.extract_pair(a1, a2, table)
         if in_range:
             out.baseline_in_range_cases += 1
+            value, t_back = pvd.extract_pair(a1, a2, table)
             if value != chunk or t_back != t:
                 fail(chunk, f"baseline round trip gave {value} over {t_back} bits")
-        base += a1, a2
-        base_texts.append(_TEXTS[t_back][value])
+        base.append((a1, a2))
 
         # adaptive scheme
         (b1, b2), flag, branch = apvd.embed_block_values(p, q, chunk, table)
@@ -137,11 +126,10 @@ def _check_pair(
         marks[case] = marks.get(case, 0) + 1
         if not (0 <= m1 <= 255 and 0 <= m2 <= 255):
             fail(chunk, f"marked pair ({m1},{m2}) out of range")
+        marked.append((m1, m2))
 
         flag_back, adjusted = apvd.read_flag_and_adjust((m1, m2))
         value, t_back = apvd.extract_block_value(m1, m2, table)
-        marked += m1, m2
-        marked_texts.append(_TEXTS[t_back][value])
         if case == apvd.LOSSY_MARK_CASE:
             out.lossy_corner_cases.append((p, q, chunk))
             # documented loss: the unmarkable (0, 255) block reads one low
@@ -186,32 +174,28 @@ def _check_lookups(table: RangeTable, out: OracleResult) -> None:
             check(pvd.extract_pair, p, q, text)
 
 
-def _check_walks(
-    p: int,
-    table: RangeTable,
-    out: OracleResult,
-    row: tuple[list, list, list, list],
-    counts_before: tuple[dict[str, int], dict[str, int]],
-) -> None:
-    """All four walks over row p's cases, against the kernels' outputs in ``row``.
+def _sweep_row(p: int, table: RangeTable, window: tuple[int, int]) -> OracleResult:
+    """Check row p's cases with the kernels, then run both embed walks over them.
 
-    The cover holds block (p, q) once per chunk of its range and the
-    stream hands each block its chunk, so each embed walk meets the
-    row's cases in sweep order.  Filler (0, 0) blocks after them take
-    the zero fill of the stream's last byte; they enter the expected
-    counts, not the pair comparison.  The extraction walks read the
-    kernels' stego pairs.  ``counts_before`` are the sweep's branch and
-    mark-case counts before the row.
+    The walks' cover holds block (p, q) once per chunk of its range and
+    the stream hands each block its chunk, so each walk meets the row's
+    cases in sweep order.  Filler (0, 0) blocks after them take the zero
+    fill of the stream's last byte; they enter the expected counts, not
+    the pair comparison.
     """
-    base, base_texts, marked, marked_texts = row
+    out = OracleResult()
+    base: list[tuple[int, int]] = []
+    marked: list[tuple[int, int]] = []
+    for q in range(256):
+        _check_pair(p, q, table, window, out, base, marked)
+
     ts = [table.t[abs(p - q)] for q in range(256)]
-    cover = b"".join(bytes((p, q)) * (1 << t) for q, t in enumerate(ts))
-    bits = "".join("".join(_TEXTS[t]) for t in ts)
+    chunks = {t: "".join(format(v, f"0{t}b") for v in range(1 << t)) for t in set(ts)}
+    bits = "".join(map(chunks.__getitem__, ts))
     fill = -len(bits) % 8
     stream = (int(bits, 2) << fill).to_bytes((len(bits) + fill) // 8, "big")
-    cover += bytes(2 * fill)  # a filler block takes at least one bit
-    n = len(base_texts)
-
+    # a filler block takes at least one bit
+    cover = b"".join(bytes((p, q)) * (1 << t) for q, t in enumerate(ts)) + bytes(2 * fill)
     try:
         wide = pvd.embed_walk(cover, stream, table)
         stego, branches, cases, _ = apvd.embed_walk(cover, stream, table)
@@ -219,50 +203,33 @@ def _check_walks(
         out.walk_mismatches += 1
         if len(out.failures) < FAIL_LIMIT:
             out.failures.append(f"row p={p}: an embed walk raised {exc!r}")
-        return
-    pair, flag, filler_branch = apvd.embed_block_values(0, 0, 0, table)
-    filler_case = apvd.mark_with_case(pair, flag)[1]
-    fillers = len(stego) // 2 - n
-    branches_before, cases_before = counts_before
-    want_branches = {k: v - branches_before[k] for k, v in out.branch_counts.items()}
-    want_branches[filler_branch] += fillers
-    want_cases = {k: v - cases_before.get(k, 0) for k, v in out.mark_case_counts.items()}
-    want_cases[filler_case] = want_cases.get(filler_case, 0) + fillers
-    want_cases = {k: v for k, v in want_cases.items() if v}
+        return out
 
-    compare = partial(_compare_walk, out, p)
-    compare("pvd embed", wide[: 2 * n], base, 2)
-    compare("apvd embed", list(stego[: 2 * n]), marked, 2)
-    compare("pvd extraction", list(pvd.chunk_texts(base, table)), base_texts)
-    compare("apvd extraction", list(apvd.chunk_texts(marked, table)), marked_texts)
-    compare("apvd branch count", sorted(branches.items()), sorted(want_branches.items()))
-    compare("apvd mark-case count", sorted(cases.items()), sorted(want_cases.items()))
-
-
-def _compare_walk(
-    out: OracleResult, p: int, what: str, got: list, want: list, per: int = 1
-) -> None:
-    """Count the items, ``per`` values each, where a walk disagrees with the kernels."""
-    if got == want:
-        return
-    got, want = zip(*[iter(got)] * per), zip(*[iter(want)] * per)
-    bad = sum(g != w for g, w in zip_longest(got, want))
-    out.walk_mismatches += bad
-    if len(out.failures) < FAIL_LIMIT:
-        out.failures.append(f"row p={p}: {bad} {what} item(s) differ from the kernels")
+    want_branches, want_cases = dict(out.branch_counts), dict(out.mark_case_counts)
+    fillers = len(stego) // 2 - len(marked)
+    if fillers:
+        pair, flag, branch = apvd.embed_block_values(0, 0, 0, table)
+        case = apvd.mark_with_case(pair, flag)[1]
+        want_branches[branch] += fillers
+        want_cases[case] = want_cases.get(case, 0) + fillers
+    for what, got, want in (
+        ("pvd embed", list(zip(wide[::2], wide[1::2]))[: len(base)], base),
+        ("apvd embed", list(zip(stego[::2], stego[1::2]))[: len(marked)], marked),
+        ("apvd branch count", sorted(branches.items()), sorted(want_branches.items())),
+        ("apvd mark-case count", sorted(cases.items()), sorted(want_cases.items())),
+    ):
+        if got != want:
+            bad = sum(g != w for g, w in zip_longest(got, want))
+            out.walk_mismatches += bad
+            if len(out.failures) < FAIL_LIMIT:
+                out.failures.append(f"row p={p}: {bad} {what} item(s) differ from the kernels")
+    return out
 
 
 def _sweep_span(widths: tuple[int, ...], p_start: int, p_stop: int) -> OracleResult:
     table = RangeTable(widths)
     window = pvd.wide_window(table)
-    out = OracleResult()
-    for p in range(p_start, p_stop):
-        counts_before = dict(out.branch_counts), dict(out.mark_case_counts)
-        row: tuple[list, list, list, list] = ([], [], [], [])
-        for q in range(256):
-            _check_pair(p, q, table, window, out, row)
-        _check_walks(p, table, out, row, counts_before)
-    return out
+    return _merge([_sweep_row(p, table, window) for p in range(p_start, p_stop)])
 
 
 def _merge(parts: list[OracleResult]) -> OracleResult:
@@ -277,29 +244,29 @@ def _merge(parts: list[OracleResult]) -> OracleResult:
             merged.branch_counts[k] = merged.branch_counts.get(k, 0) + v
         for k, v in part.mark_case_counts.items():
             merged.mark_case_counts[k] = merged.mark_case_counts.get(k, 0) + v
+    del merged.failures[FAIL_LIMIT:]
     return merged
 
 
 def run(table: RangeTable, jobs: int = 1) -> OracleResult:
-    """Run the full sweep; jobs > 1 fans out over worker processes.
+    """Run the full sweep; jobs > 1 fans its spans out over worker processes.
 
     The pool never has more workers than CPUs or sweep spans.
     """
     started = time.perf_counter()
-    widths = table.widths
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1:
-        result = _sweep_span(widths, 0, 256)
+    jobs = max(1, min(jobs, os.cpu_count() or 1))
+    step = max(1, 256 // (jobs * 4))
+    spans = [(table.widths, lo, min(256, lo + step)) for lo in range(0, 256, step)]
+    if jobs == 1:
+        parts = list(map(_sweep_span, *zip(*spans)))
     else:
         # imported here: it loads multiprocessing, which no other command needs
         from concurrent.futures import ProcessPoolExecutor
 
-        step = max(1, 256 // (jobs * 4))
-        spans = [(widths, lo, min(256, lo + step)) for lo in range(0, 256, step)]
         with ProcessPoolExecutor(max_workers=min(jobs, len(spans))) as pool:
-            result = _merge(list(pool.map(_sweep_span, *zip(*spans))))
+            parts = list(pool.map(_sweep_span, *zip(*spans)))
+    result = _merge(parts)
     _check_lookups(table, result)
-    del result.failures[FAIL_LIMIT:]
     result.lossy_corner_cases.sort()
     result.lossy_corner_count = len(result.lossy_corner_cases)
     result.elapsed_seconds = time.perf_counter() - started

@@ -79,6 +79,7 @@ def test_exhaustive_block_oracle(capsys):
     checks = [
         result.failures == [],
         result.lookup_mismatches == 0,
+        result.walk_mismatches == 0,
         result.total_cases == expected_total == 4_035_968,
         result.lossy_corner_count == TABLE.widths[-1] == 128,
         set(result.lossy_corner_cases) == expected_corner,

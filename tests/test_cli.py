@@ -440,9 +440,9 @@ def test_cli_start_leaves_the_process_pool_unimported():
     src = str(Path(pvdstego.__file__).resolve().parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import pvdstego.cli; "
-        "print('concurrent.futures' in sys.modules)"
+        "print('concurrent.futures' in sys.modules, 'pvdstego.oracle' in sys.modules)"
     )
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    assert out == "False\n"
+    assert out == "False False\n"  # selftest loads the oracle; selftest --jobs 2 the pool

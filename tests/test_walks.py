@@ -195,6 +195,25 @@ def test_lookup_check_counts_a_wrong_text(which):
     assert len(out.failures) == oracle.FAIL_LIMIT
 
 
+@pytest.mark.parametrize("module", [pvd, apvd], ids=["pvd", "apvd"])
+def test_lookup_check_counts_a_spoiled_chunk_texts(monkeypatch, module):
+    # the walk check leaves extraction to the lookup check; a walk that
+    # reads the wrong first text must show there, on its own and in run()
+    real = module.chunk_texts
+    monkeypatch.setattr(module, "chunk_texts", lambda *args: iter(["", *list(real(*args))[1:]]))
+    table = build_range_table((2,) * 128)
+    out = oracle.OracleResult()
+    oracle._check_lookups(table, out)
+    # apvd reads every pair from one raster, pvd each pair of the wide window
+    # [-1, 256] on its own, bar the 6 pairs more than 255 apart
+    assert out.lookup_mismatches == (1 if module is apvd else 258 * 258 - 6)
+    assert out.failures
+    result = oracle.run(table)
+    assert result.lookup_mismatches == out.lookup_mismatches
+    assert result.walk_mismatches == 0
+    assert result.failures == out.failures
+
+
 def test_walk_check_covers_the_zero_fill_of_a_row():
     # row 1 of this table holds five 1-bit blocks: its stream ends 6 bits
     # short of a byte, and the fill lands in filler blocks
@@ -224,8 +243,6 @@ def _spoil_count(result, which: int):
         (apvd, "embed_walk", lambda result: _spoil_walk(*result), "apvd embed"),
         (apvd, "embed_walk", lambda result: _spoil_count(result, 1), "apvd branch count"),
         (apvd, "embed_walk", lambda result: _spoil_count(result, 2), "apvd mark-case count"),
-        (pvd, "chunk_texts", lambda texts: ["", *list(texts)[1:]], "pvd extraction"),
-        (apvd, "chunk_texts", lambda texts: ["", *list(texts)[1:]], "apvd extraction"),
     ],
 )
 def test_walk_check_counts_a_walk_that_disagrees(monkeypatch, module, name, spoil, what):
@@ -282,13 +299,19 @@ BOUND_WIDTHS = ["8,8,16,32,64,128", "2,2,4,8,16,32,64,128", "128,128"]
 BOUND_TABLES = [build_range_table(map(int, text.split(","))) for text in BOUND_WIDTHS]
 
 
-def _refuse_capacity_pass(monkeypatch):
-    def refuse(cover, table):
-        raise AssertionError("capacity pass over the whole cover")
+def _count_capacity_passes(monkeypatch) -> list[int]:
+    """From here on, record the pixel count of each cover the capacity pass reads."""
+    passes = []
+    real = metrics.capacity
+
+    def counted(cover, table):
+        passes.append(len(cover.pixels))
+        return real(cover, table)
 
     # neither embedder holds a reference of its own that the patch would miss
     assert "capacity" not in vars(pvd) and "capacity" not in vars(apvd)
-    monkeypatch.setattr(metrics, "capacity", refuse)
+    monkeypatch.setattr(metrics, "capacity", counted)
+    return passes
 
 
 def _mid_gray_cover(kind: str, width: int, height: int) -> GrayImage:
@@ -313,7 +336,9 @@ def test_stream_of_min_t_bits_per_block_skips_the_capacity_pass(
     payload = random.Random(bits).randbytes(bits // 8 - HEADER_BITS // 8)
     framed = frame_payload(payload)
     assert 8 * len(framed) == bits
-    _refuse_capacity_pass(monkeypatch)  # no embed runs the pass, whatever the stream
+    # an embed runs the pass only to refuse a stream over max(t) bits per block
+    passes = _count_capacity_passes(monkeypatch)
+    bound = max(table.t) * blocks
 
     result = pvd_embed_image(cover, framed, table)
     assert result.bits_embedded == bits
@@ -325,6 +350,7 @@ def test_stream_of_min_t_bits_per_block_skips_the_capacity_pass(
     if kind == "flat":  # the bound is the true capacity: every block is used
         assert result.blocks_used == report.blocks_used == blocks
         assert report.stego.pixels[2 * blocks :] == cover.pixels[2 * blocks :]
+    assert passes == []
 
     # one byte past the bound fits exactly when the true capacity allows it
     if bits + 8 <= raw:
@@ -333,6 +359,7 @@ def test_stream_of_min_t_bits_per_block_skips_the_capacity_pass(
         with pytest.raises(CapacityError) as info:
             pvd_embed_image(cover, framed + b"\x00", table)
         assert info.value.available_bits == raw
+    assert len(passes) == (bits + 8 > bound)
     # a stream past the true capacity is refused with the cover's true bit count
     past = bytes(raw // 8 + 1)
     for embed in (
@@ -342,6 +369,36 @@ def test_stream_of_min_t_bits_per_block_skips_the_capacity_pass(
         with pytest.raises(CapacityError) as info:
             embed()
         assert (info.value.needed_bits, info.value.available_bits) == (8 * len(past), raw)
+    assert len(passes) == (bits + 8 > bound) + 2 * (8 * len(past) > bound)
+    assert set(passes) <= {len(cover.pixels)}
+
+
+@pytest.mark.parametrize("method", ["pvd", "apvd"])
+def test_grossly_oversized_stream_is_refused_before_the_walk(monkeypatch, method):
+    cover = _mid_gray_cover("noise", 23, 23)
+    raw, _ = capacity(cover, TABLE)
+    bound = max(TABLE.t) * (len(cover.pixels) // 2)
+    assert raw + 8 < bound
+    module = pvd if method == "pvd" else apvd
+    real, walks = module.embed_walk, []
+    monkeypatch.setattr(module, "embed_walk", lambda *args: walks.append(1) or real(*args))
+
+    def embed(framed: bytes):
+        if method == "pvd":
+            return pvd_embed_image(cover, framed, TABLE)
+        return apvd_embed_image(cover, framed[HEADER_BITS // 8 :], TABLE)
+
+    # over max(t) bits per block: refused without a walk, with the true count
+    for framed in (bytes(bound // 8 + 1), bytes(100 * len(cover.pixels))):
+        with pytest.raises(CapacityError) as info:
+            embed(framed)
+        assert (info.value.needed_bits, info.value.available_bits) == (8 * len(framed), raw)
+    assert walks == []
+    # between the true capacity and that bound, the walk finds out, as before
+    with pytest.raises(CapacityError) as info:
+        embed(bytes(raw // 8 + 1))
+    assert info.value.available_bits == raw
+    assert walks == [1]
 
 
 @pytest.mark.parametrize("widths", BOUND_WIDTHS)
