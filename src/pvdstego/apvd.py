@@ -44,10 +44,10 @@ Branch and mark-case labels used in reports:
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from . import metrics
 from .codec import HEADER_BITS, CapacityError, RangeTable
 from .codec import collect_frame, deframe_payload, frame_payload
 from .imagery import GrayImage
+from .metrics import mse_psnr
 from .pvd import adjust_pair
 
 BRANCH_PLAIN = "plain"
@@ -285,17 +285,13 @@ class ApvdReport:
 def apvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> ApvdReport:
     """Frame the payload and embed it block by block; stego stays 8-bit.
 
-    Raises CapacityError if the framed payload does not fit; one over
-    max(t) bits per block is refused before the walk, after a capacity
-    pass for the true bit count.
+    Raises CapacityError if the framed payload does not fit.
     """
     framed = frame_payload(payload)
-    if 8 * len(framed) > max(table.t) * (len(cover.pixels) // 2):
-        raise CapacityError(8 * len(framed), metrics.capacity(cover, table)[0])
     stego, branch_counts, mark_case_counts, lossy_corners = embed_walk(cover.pixels, framed, table)
     walked = len(stego)
     cover_view = memoryview(cover.pixels)  # slices of a view copy nothing
-    mse, psnr_db = metrics.mse_psnr(cover_view[:walked], stego, len(cover.pixels))
+    mse, psnr_db = mse_psnr(cover_view[:walked], stego, len(cover.pixels))
     stego += cover_view[walked:]
     return ApvdReport(
         stego=GrayImage(cover.width, cover.height, bytes(stego)),

@@ -22,16 +22,18 @@ mark-case counts: the blocks and counts that differ are
 ``walk_mismatches``.  After the sweep, the walks' extraction lookups
 (``chunk_texts`` in each scheme) are checked once on every pair they can
 meet: the adaptive one on [0, 255]^2, the baseline one on the wide
-window, where a pair more than 255 apart must fail in both; their
-mismatches are ``lookup_mismatches``.  Neither check is counted in
-``total_cases``.  ``run`` merges the rows' results with ``_merge``,
-in-process or, with jobs > 1, across worker processes.
+window, where a pair more than 255 apart must fail in both.  Each
+lookup reads the pairs it can decode as one raster; its mismatches,
+the rest of the raster if it stops early, are ``lookup_mismatches``.
+Neither check is counted in ``total_cases``.  ``run`` merges the rows'
+results with ``_merge``, in-process or, with jobs > 1, across worker
+processes.
 """
 
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import product, zip_longest
 
 from . import apvd, pvd
 from .codec import RangeTable
@@ -160,18 +162,23 @@ def _check_lookups(table: RangeTable, out: OracleResult) -> None:
             if len(out.failures) < FAIL_LIMIT:
                 out.failures.append(f"{kernel.__name__}({p}, {q}): lookup {text}, kernel {want}")
 
-    pairs = [(p, q) for p in range(256) for q in range(256)]
-    raster = bytes(v for pair in pairs for v in pair)
-    for (p, q), text in zip(pairs, apvd.chunk_texts(raster, table)):
-        check(apvd.extract_block_value, p, q, text)
+    def texts(lookup, pairs: list[tuple[int, int]]):
+        # one raster of every pair, so the lookup's pairing of pixels is checked too
+        try:
+            yield from lookup([v for pair in pairs for v in pair], table)
+        except IndexError:  # no text for this pair or any after it
+            yield from [None] * len(pairs)
+
     low, high = pvd.wide_window(table)
-    for p in range(low, high + 1):
-        for q in range(low, high + 1):
-            try:
-                text = next(pvd.chunk_texts((p, q), table))
-            except IndexError:
-                text = None
-            check(pvd.extract_pair, p, q, text)
+    wide = list(product(range(low, high + 1), repeat=2))
+    for kernel, lookup, pairs in (
+        (apvd.extract_block_value, apvd.chunk_texts, list(product(range(256), repeat=2))),
+        (pvd.extract_pair, pvd.chunk_texts, [(p, q) for p, q in wide if abs(p - q) <= 255]),
+        # a pair more than 255 apart must fail on its own, as the kernel does
+        *((pvd.extract_pair, pvd.chunk_texts, [(p, q)]) for p, q in wide if abs(p - q) > 255),
+    ):
+        for (p, q), text in zip(pairs, texts(lookup, pairs)):
+            check(kernel, p, q, text)
 
 
 def _sweep_row(p: int, table: RangeTable, window: tuple[int, int]) -> OracleResult:

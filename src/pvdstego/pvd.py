@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from operator import sub
 from typing import Iterable, Iterator, Sequence
 
-from . import metrics
 from .codec import CapacityError, PayloadError, RangeTable, collect_frame
 from .imagery import GrayImage
+from .metrics import mse_psnr
 
 
 def wide_window(table: RangeTable) -> tuple[int, int]:
@@ -146,18 +146,15 @@ def pvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> PvdR
     The caller frames the stream (see codec.frame_payload); the final
     chunk is zero-filled to its block's t.  Untouched blocks and any odd
     trailing pixel are copied verbatim.  Raises CapacityError if the
-    stream does not fit; one over max(t) bits per block is refused
-    before the walk, after a capacity pass for the true bit count.
+    stream does not fit.
     """
-    if 8 * len(payload) > max(table.t) * (len(cover.pixels) // 2):
-        raise CapacityError(8 * len(payload), metrics.capacity(cover, table)[0])
     stego = embed_walk(cover.pixels, payload, table)
     violations = 0
     if stego and (min(stego) < 0 or max(stego) > 255):
         violations = sum(map(_OUTSIDE.__getitem__, stego))
     walked = len(stego)
     cover_view = memoryview(cover.pixels)  # slices of a view copy nothing
-    mse, psnr_db = metrics.mse_psnr(cover_view[:walked], stego, len(cover.pixels))
+    mse, psnr_db = mse_psnr(cover_view[:walked], stego, len(cover.pixels))
     stego += cover_view[walked:]
     return PvdResult(stego, violations, 8 * len(payload), walked // 2, mse, psnr_db)
 

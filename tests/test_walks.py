@@ -14,6 +14,7 @@ import math
 import random
 import tempfile
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -204,14 +205,42 @@ def test_lookup_check_counts_a_spoiled_chunk_texts(monkeypatch, module):
     table = build_range_table((2,) * 128)
     out = oracle.OracleResult()
     oracle._check_lookups(table, out)
-    # apvd reads every pair from one raster, pvd each pair of the wide window
-    # [-1, 256] on its own, bar the 6 pairs more than 255 apart
-    assert out.lookup_mismatches == (1 if module is apvd else 258 * 258 - 6)
+    # each lookup reads the pairs it can decode from one raster
+    assert out.lookup_mismatches == 1
     assert out.failures
     result = oracle.run(table)
     assert result.lookup_mismatches == out.lookup_mismatches
     assert result.walk_mismatches == 0
     assert result.failures == out.failures
+
+
+@pytest.mark.parametrize("module", [pvd, apvd], ids=["pvd", "apvd"])
+@pytest.mark.parametrize("defect", ["shifted pairs", "fails after ten pairs"])
+def test_lookup_check_counts_a_lookup_that_misreads_its_raster(monkeypatch, module, defect):
+    # each lookup reads its pairs as one raster, so a pairing defect, or a
+    # lookup that stops on a pair it can decode, is counted and not raised
+    real = module.chunk_texts
+    if defect == "shifted pairs":  # reads (q0, p1), (q1, p2), ...
+
+        def spoiled(pixels, table):
+            return real([*list(pixels)[1:], 0], table)
+
+    else:
+
+        def spoiled(pixels, table):
+            yield from islice(real(pixels, table), 10)
+            raise IndexError("spoiled")
+
+    monkeypatch.setattr(module, "chunk_texts", spoiled)
+    table = build_range_table((2,) * 128)
+    out = oracle.OracleResult()
+    oracle._check_lookups(table, out)
+    if defect == "shifted pairs":
+        assert out.lookup_mismatches > 0
+    else:  # no text for any pair after the tenth; the wide window is [-1, 256]
+        decodable = 256 * 256 if module is apvd else 258 * 258 - 6
+        assert out.lookup_mismatches == decodable - 10
+    assert len(out.failures) == oracle.FAIL_LIMIT
 
 
 def test_walk_check_covers_the_zero_fill_of_a_row():
@@ -299,19 +328,13 @@ BOUND_WIDTHS = ["8,8,16,32,64,128", "2,2,4,8,16,32,64,128", "128,128"]
 BOUND_TABLES = [build_range_table(map(int, text.split(","))) for text in BOUND_WIDTHS]
 
 
-def _count_capacity_passes(monkeypatch) -> list[int]:
-    """From here on, record the pixel count of each cover the capacity pass reads."""
-    passes = []
-    real = metrics.capacity
-
-    def counted(cover, table):
-        passes.append(len(cover.pixels))
-        return real(cover, table)
+def _refuse_capacity_pass(monkeypatch):
+    def refuse(cover, table):
+        raise AssertionError("capacity pass over the whole cover")
 
     # neither embedder holds a reference of its own that the patch would miss
     assert "capacity" not in vars(pvd) and "capacity" not in vars(apvd)
-    monkeypatch.setattr(metrics, "capacity", counted)
-    return passes
+    monkeypatch.setattr(metrics, "capacity", refuse)
 
 
 def _mid_gray_cover(kind: str, width: int, height: int) -> GrayImage:
@@ -336,9 +359,7 @@ def test_stream_of_min_t_bits_per_block_skips_the_capacity_pass(
     payload = random.Random(bits).randbytes(bits // 8 - HEADER_BITS // 8)
     framed = frame_payload(payload)
     assert 8 * len(framed) == bits
-    # an embed runs the pass only to refuse a stream over max(t) bits per block
-    passes = _count_capacity_passes(monkeypatch)
-    bound = max(table.t) * blocks
+    _refuse_capacity_pass(monkeypatch)  # no embed runs the pass, whatever the stream
 
     result = pvd_embed_image(cover, framed, table)
     assert result.bits_embedded == bits
@@ -350,7 +371,6 @@ def test_stream_of_min_t_bits_per_block_skips_the_capacity_pass(
     if kind == "flat":  # the bound is the true capacity: every block is used
         assert result.blocks_used == report.blocks_used == blocks
         assert report.stego.pixels[2 * blocks :] == cover.pixels[2 * blocks :]
-    assert passes == []
 
     # one byte past the bound fits exactly when the true capacity allows it
     if bits + 8 <= raw:
@@ -359,7 +379,6 @@ def test_stream_of_min_t_bits_per_block_skips_the_capacity_pass(
         with pytest.raises(CapacityError) as info:
             pvd_embed_image(cover, framed + b"\x00", table)
         assert info.value.available_bits == raw
-    assert len(passes) == (bits + 8 > bound)
     # a stream past the true capacity is refused with the cover's true bit count
     past = bytes(raw // 8 + 1)
     for embed in (
@@ -369,36 +388,6 @@ def test_stream_of_min_t_bits_per_block_skips_the_capacity_pass(
         with pytest.raises(CapacityError) as info:
             embed()
         assert (info.value.needed_bits, info.value.available_bits) == (8 * len(past), raw)
-    assert len(passes) == (bits + 8 > bound) + 2 * (8 * len(past) > bound)
-    assert set(passes) <= {len(cover.pixels)}
-
-
-@pytest.mark.parametrize("method", ["pvd", "apvd"])
-def test_grossly_oversized_stream_is_refused_before_the_walk(monkeypatch, method):
-    cover = _mid_gray_cover("noise", 23, 23)
-    raw, _ = capacity(cover, TABLE)
-    bound = max(TABLE.t) * (len(cover.pixels) // 2)
-    assert raw + 8 < bound
-    module = pvd if method == "pvd" else apvd
-    real, walks = module.embed_walk, []
-    monkeypatch.setattr(module, "embed_walk", lambda *args: walks.append(1) or real(*args))
-
-    def embed(framed: bytes):
-        if method == "pvd":
-            return pvd_embed_image(cover, framed, TABLE)
-        return apvd_embed_image(cover, framed[HEADER_BITS // 8 :], TABLE)
-
-    # over max(t) bits per block: refused without a walk, with the true count
-    for framed in (bytes(bound // 8 + 1), bytes(100 * len(cover.pixels))):
-        with pytest.raises(CapacityError) as info:
-            embed(framed)
-        assert (info.value.needed_bits, info.value.available_bits) == (8 * len(framed), raw)
-    assert walks == []
-    # between the true capacity and that bound, the walk finds out, as before
-    with pytest.raises(CapacityError) as info:
-        embed(bytes(raw // 8 + 1))
-    assert info.value.available_bits == raw
-    assert walks == [1]
 
 
 @pytest.mark.parametrize("widths", BOUND_WIDTHS)
