@@ -47,8 +47,8 @@ from typing import Iterable, Iterator, Sequence
 from .codec import HEADER_BITS, CapacityError, RangeTable
 from .codec import collect_frame, deframe_payload, frame_payload
 from .imagery import GrayImage
-from .metrics import mse_psnr
-from .pvd import adjust_pair
+from .metrics import mse_psnr_of
+from .pvd import SQUARED_ERROR, adjust_pair
 
 BRANCH_PLAIN = "plain"
 BRANCH_DISCARD_RESOLVED = "discard_resolved"
@@ -186,20 +186,20 @@ def extract_block_value(first: int, second: int, table: RangeTable) -> tuple[int
 
 def embed_walk(
     pixels: Sequence[int], stream: bytes, table: RangeTable
-) -> tuple[bytearray, dict[str, int], dict[str, int], list[tuple[int, int | None]]]:
+) -> tuple[bytearray, int, dict[str, int], dict[str, int], list[tuple[int, int | None]]]:
     """The adaptive embed walk over each block until the stream is out.
 
-    Returns the marked stego values of the blocks walked, the branch
-    counts, the mark-case counts in the order the cases first occur, and
-    the lossy corners as ``ApvdReport`` lists them.  One loop: chunks
-    are cut as in ``pvd.embed_walk``, and a block whose plain attempt
-    stays in range and whose flag-0 mark needs no boundary sub-case is
-    embedded and marked inline; every other block goes through
-    ``embed_block_values`` and ``mark_with_case``.  Raises CapacityError,
-    with the sum of t over every block as the bits available, if the
-    stream outlasts the blocks.
+    Returns the marked stego values of the blocks walked, their squared
+    error, the branch counts, the mark-case counts in the order the
+    cases first occur, and the lossy corners as ``ApvdReport`` lists
+    them.  One loop: chunks are cut as in ``pvd.embed_walk``, and a
+    block whose plain attempt stays in range and whose flag-0 mark needs
+    no boundary sub-case is embedded and marked inline; every other
+    block goes through ``embed_block_values`` and ``mark_with_case``.
+    Raises CapacityError, with the sum of t over every block as the bits
+    available, if the stream outlasts the blocks.
     """
-    t_of, lower = table.t, table.lower
+    t_of, lower, se = table.t, table.lower, SQUARED_ERROR
     next_byte = iter(stream).__next__
     needed = left = 8 * len(stream)  # left: stream bits not yet embedded
     acc = held = 0  # acc: the last ``held`` of them read from the stream
@@ -209,6 +209,7 @@ def embed_walk(
     record = codes.append
     branch_counts = dict.fromkeys(BRANCHES, 0)
     lossy_corners = []
+    ssd = 0
     px = iter(pixels)
     for p, q in zip(px, px):
         if left <= 0:
@@ -230,17 +231,21 @@ def embed_walk(
             h = -m >> 1
             a, b = (p + m + h, q + h) if p >= q else (p + h, q + m + h)
         if 0 <= a <= 255 and 0 <= b <= 255 and (a & 1 or b < 255):
+            # the mark moves one pixel by 1: its squared error e^2 becomes (e -+ 1)^2 = e^2 -+ 2e + 1
             if a & 1:  # keep/1x: the first pixel steps down to LSB 0
                 put(a - 1)
                 put(b)
                 record(2 + (b & 1))
+                ssd += se[m] - 2 * (a - p) + 1
             else:  # keep/0x: the second pixel steps up
                 put(a)
                 put(b + 1)
                 record(b & 1)
+                ssd += se[m] + 2 * (b - q) + 1
         else:
             pair, flag, branch = embed_block_values(p, q, chunk, table)
             pair, case = mark_with_case(pair, flag)
+            ssd += (pair[0] - p) ** 2 + (pair[1] - q) ** 2
             if case == LOSSY_MARK_CASE:
                 # the chunk is all ones, and its last bit, framed-stream
                 # bit end - 1, reads back flipped
@@ -257,7 +262,7 @@ def embed_walk(
     branch_counts[BRANCH_PLAIN] = len(codes) - others
     seen = sorted((codes.find(code), code) for code in range(len(MARK_CASES)))
     mark_case_counts = {MARK_CASES[code]: codes.count(code) for first, code in seen if first >= 0}
-    return stego, branch_counts, mark_case_counts, lossy_corners
+    return stego, ssd, branch_counts, mark_case_counts, lossy_corners
 
 
 @dataclass
@@ -288,11 +293,10 @@ def apvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> Apv
     Raises CapacityError if the framed payload does not fit.
     """
     framed = frame_payload(payload)
-    stego, branch_counts, mark_case_counts, lossy_corners = embed_walk(cover.pixels, framed, table)
+    stego, ssd, branch_counts, mark_case_counts, lossy_corners = embed_walk(cover.pixels, framed, table)
     walked = len(stego)
-    cover_view = memoryview(cover.pixels)  # slices of a view copy nothing
-    mse, psnr_db = mse_psnr(cover_view[:walked], stego, len(cover.pixels))
-    stego += cover_view[walked:]
+    stego += memoryview(cover.pixels)[walked:]  # a slice of a view copies nothing
+    mse, psnr_db = mse_psnr_of(ssd, len(cover.pixels))
     return ApvdReport(
         stego=GrayImage(cover.width, cover.height, bytes(stego)),
         bits_embedded=8 * len(framed),

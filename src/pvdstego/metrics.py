@@ -19,19 +19,18 @@ class ComparisonRow:
     violations: int
 
 
-def mse_psnr(a: Iterable[int], b: Iterable[int], n: int | None = None) -> tuple[float, float]:
-    """MSE and PSNR between two images of ``n`` pixels, ``len(a)`` by default.
+def mse_psnr(a: Sequence[int], b: Iterable[int]) -> tuple[float, float]:
+    """MSE and PSNR between two images of ``len(a)`` pixels each; ValueError otherwise."""
+    return mse_psnr_of(sum((x - y) * (x - y) for x, y in zip(a, b, strict=True)), len(a))
 
-    ``a`` and ``b`` must hold the same number of values (ValueError
-    otherwise): the whole images, or only a prefix where they differ if
-    ``n`` counts the identical tail too.  The squared-error sum is
-    accumulated in exact integer arithmetic; the only division happens at
-    the end, so both forms give the same floats.  PSNR uses the 8-bit
-    peak 255 and is math.inf for identical inputs.
+
+def mse_psnr_of(ssd: int, n: int) -> tuple[float, float]:
+    """MSE and PSNR of ``n`` pixels from their exact integer squared-error sum.
+
+    The only division happens here, so a sum taken over the pixels that
+    differ gives the same floats as one over the whole images.  PSNR uses
+    the 8-bit peak 255 and is math.inf when nothing differs.
     """
-    if n is None:
-        n = len(a)
-    ssd = sum((x - y) * (x - y) for x, y in zip(a, b, strict=True))
     if ssd == 0:
         return 0.0, math.inf
     return ssd / n, 10.0 * math.log10(PEAK_SQUARED * n / ssd)

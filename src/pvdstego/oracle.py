@@ -18,16 +18,17 @@ kernels have run over a row's cases, both embed walks (``embed_walk`` in
 each scheme, which inline the kernels' arithmetic) run once over a cover
 holding those cases in sweep order and must give the kernels' stego
 pairs block for block, and the adaptive walk the row's branch and
-mark-case counts: the blocks and counts that differ are
-``walk_mismatches``.  After the sweep, the walks' extraction lookups
-(``chunk_texts`` in each scheme) are checked once on every pair they can
-meet: the adaptive one on [0, 255]^2, the baseline one on the wide
-window, where a pair more than 255 apart must fail in both.  Each
-lookup reads the pairs it can decode as one raster; its mismatches,
-the rest of the raster if it stops early, are ``lookup_mismatches``.
-Neither check is counted in ``total_cases``.  ``run`` merges the rows'
-results with ``_merge``, in-process or, with jobs > 1, across worker
-processes.
+mark-case counts; each walk's squared error must match
+``metrics.mse_psnr`` on its stego, and the baseline walk's violation
+count its values outside [0, 255].  What differs is ``walk_mismatches``.
+After the sweep, the walks' extraction lookups (``chunk_texts`` in each
+scheme) are checked once on every pair they can meet: the adaptive one
+on [0, 255]^2, the baseline one on the wide window, where a pair more
+than 255 apart must fail in both.  Each lookup reads the pairs it can
+decode as one raster; its mismatches, the rest of the raster if it stops
+early, are ``lookup_mismatches``.  Neither check is counted in
+``total_cases``.  ``run`` merges the rows' results with ``_merge``,
+in-process or, with jobs > 1, across worker processes.
 """
 
 import os
@@ -37,6 +38,7 @@ from itertools import product, zip_longest
 
 from . import apvd, pvd
 from .codec import RangeTable
+from .metrics import mse_psnr, mse_psnr_of
 
 FAIL_LIMIT = 5  # counterexamples kept per result, merged ones too; enough to diagnose
 
@@ -73,10 +75,10 @@ def _check_pair(
     table: RangeTable,
     window: tuple[int, int],
     out: OracleResult,
-    base: list[tuple[int, int]],
-    marked: list[tuple[int, int]],
+    base: list[int],
+    marked: list[int],
 ) -> None:
-    """Check every chunk of block (p, q); append its stego pairs to ``base`` and ``marked``."""
+    """Check every chunk of block (p, q); append its stego values to ``base`` and ``marked``."""
     d = abs(q - p)
     t = table.t[d]
     lower = table.lower[d]
@@ -108,7 +110,7 @@ def _check_pair(
             value, t_back = pvd.extract_pair(a1, a2, table)
             if value != chunk or t_back != t:
                 fail(chunk, f"baseline round trip gave {value} over {t_back} bits")
-        base.append((a1, a2))
+        base += (a1, a2)
 
         # adaptive scheme
         (b1, b2), flag, branch = apvd.embed_block_values(p, q, chunk, table)
@@ -128,7 +130,7 @@ def _check_pair(
         marks[case] = marks.get(case, 0) + 1
         if not (0 <= m1 <= 255 and 0 <= m2 <= 255):
             fail(chunk, f"marked pair ({m1},{m2}) out of range")
-        marked.append((m1, m2))
+        marked += (m1, m2)
 
         flag_back, adjusted = apvd.read_flag_and_adjust((m1, m2))
         value, t_back = apvd.extract_block_value(m1, m2, table)
@@ -188,11 +190,11 @@ def _sweep_row(p: int, table: RangeTable, window: tuple[int, int]) -> OracleResu
     the stream hands each block its chunk, so each walk meets the row's
     cases in sweep order.  Filler (0, 0) blocks after them take the zero
     fill of the stream's last byte; they enter the expected counts, not
-    the pair comparison.
+    the comparison of stego values.
     """
     out = OracleResult()
-    base: list[tuple[int, int]] = []
-    marked: list[tuple[int, int]] = []
+    base: list[int] = []
+    marked: list[int] = []
     for q in range(256):
         _check_pair(p, q, table, window, out, base, marked)
 
@@ -204,8 +206,8 @@ def _sweep_row(p: int, table: RangeTable, window: tuple[int, int]) -> OracleResu
     # a filler block takes at least one bit
     cover = b"".join(bytes((p, q)) * (1 << t) for q, t in enumerate(ts)) + bytes(2 * fill)
     try:
-        wide = pvd.embed_walk(cover, stream, table)
-        stego, branches, cases, _ = apvd.embed_walk(cover, stream, table)
+        wide, wide_ssd, violations = pvd.embed_walk(cover, stream, table)
+        stego, ssd, branches, cases, _ = apvd.embed_walk(cover, stream, table)
     except ValueError as exc:  # CapacityError, or a value the stego bytearray refuses
         out.walk_mismatches += 1
         if len(out.failures) < FAIL_LIMIT:
@@ -213,15 +215,18 @@ def _sweep_row(p: int, table: RangeTable, window: tuple[int, int]) -> OracleResu
         return out
 
     want_branches, want_cases = dict(out.branch_counts), dict(out.mark_case_counts)
-    fillers = len(stego) // 2 - len(marked)
+    fillers = (len(stego) - len(marked)) // 2
     if fillers:
         pair, flag, branch = apvd.embed_block_values(0, 0, 0, table)
         case = apvd.mark_with_case(pair, flag)[1]
         want_branches[branch] += fillers
         want_cases[case] = want_cases.get(case, 0) + fillers
     for what, got, want in (
-        ("pvd embed", list(zip(wide[::2], wide[1::2]))[: len(base)], base),
-        ("apvd embed", list(zip(stego[::2], stego[1::2]))[: len(marked)], marked),
+        ("pvd embed", wide[: len(base)], base),
+        ("pvd squared error", [mse_psnr_of(wide_ssd, len(wide))], [mse_psnr(cover[: len(wide)], wide)]),
+        ("pvd violation count", [violations], [len([v for v in wide if v < 0 or v > 255])]),
+        ("apvd embed", list(stego[: len(marked)]), marked),
+        ("apvd squared error", [mse_psnr_of(ssd, len(stego))], [mse_psnr(cover[: len(stego)], stego)]),
         ("apvd branch count", sorted(branches.items()), sorted(want_branches.items())),
         ("apvd mark-case count", sorted(cases.items()), sorted(want_cases.items())),
     ):

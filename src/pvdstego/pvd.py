@@ -20,12 +20,11 @@ compares them with the kernels.
 """
 
 from dataclasses import dataclass
-from operator import sub
 from typing import Iterable, Iterator, Sequence
 
 from .codec import CapacityError, PayloadError, RangeTable, collect_frame
 from .imagery import GrayImage
-from .metrics import mse_psnr
+from .metrics import mse_psnr_of
 
 
 def wide_window(table: RangeTable) -> tuple[int, int]:
@@ -41,8 +40,8 @@ def wide_window(table: RangeTable) -> tuple[int, int]:
 _CLAMP_LOW, _CLAMP_HIGH = wide_window(RangeTable((256,)))
 # keyed by every value of the widest window: anything else raises KeyError
 _CLAMPED = {v: min(max(v, 0), 255) for v in range(_CLAMP_LOW, _CLAMP_HIGH + 1)}
-# indexed by the value itself, so a negative value counts back from the end
-_OUTSIDE = (0,) * 256 + (1,) * (_CLAMP_HIGH - 255 - _CLAMP_LOW)  # 1 outside [0, 255]
+# a block's squared error for d' - d = m, indexed by m: negative m counts back from the end
+SQUARED_ERROR = tuple((k - k // 2) ** 2 + (k // 2) ** 2 for k in (*range(256), *range(255, 0, -1)))
 
 
 def adjust_pair(p: int, q: int, d: int, d_new: int) -> tuple[int, int]:
@@ -71,20 +70,22 @@ def extract_pair(first: int, second: int, table: RangeTable) -> tuple[int, int]:
     return d - table.lower[d], table.t[d]
 
 
-def embed_walk(pixels: Sequence[int], stream: bytes, table: RangeTable) -> list[int]:
+def embed_walk(pixels: Sequence[int], stream: bytes, table: RangeTable) -> tuple[list[int], int, int]:
     """The baseline embed walk: ``embed_pair`` over each block until the stream is out.
 
-    Returns the stego values of the blocks walked, in order.  One loop
-    with the kernel's arithmetic inlined: each chunk is cut from an
-    accumulator of at most 15 bits, the final one zero-filled to its
-    block's t.  Raises CapacityError, with the sum of t over every block
-    as the bits available, if the stream outlasts the blocks.
+    Returns the stego values of the blocks walked, in order, their squared
+    error and how many leave [0, 255].  One loop with the kernel's
+    arithmetic inlined: each chunk is cut from an accumulator of at most
+    15 bits, the final one zero-filled to its block's t.  Raises
+    CapacityError, with the sum of t over every block as the bits
+    available, if the stream outlasts the blocks.
     """
-    t_of, lower = table.t, table.lower
+    t_of, lower, se = table.t, table.lower, SQUARED_ERROR
     next_byte = iter(stream).__next__
     needed = left = 8 * len(stream)  # left: stream bits not yet embedded
     acc = held = 0  # acc: the last ``held`` of them read from the stream
     stego: list[int] = []
+    ssd = violations = 0
     px = iter(pixels)
     for p, q in zip(px, px):
         if left <= 0:
@@ -98,28 +99,38 @@ def embed_walk(pixels: Sequence[int], stream: bytes, table: RangeTable) -> list[
         m = lower[d] + (acc >> held) - d  # d' - d
         acc &= (1 << held) - 1
         left -= t
+        ssd += se[m]
         # adjust_pair: the larger pixel (p on a tie) moves ceil(|m| / 2), its partner floor
-        if m > 0:
+        if m > 0:  # moving apart; as d' <= 255, at most one pixel leaves [0, 255]
             h = m >> 1
-            stego += (p + m - h, q - h) if p >= q else (p - h, q + m - h)
+            if p >= q:
+                a, b = p + m - h, q - h
+                if a > 255 or b < 0:
+                    violations += 1
+            else:
+                a, b = p - h, q + m - h
+                if a < 0 or b > 255:
+                    violations += 1
+            stego += (a, b)
         else:
             h = -m >> 1
             stego += (p + m + h, q + h) if p >= q else (p + h, q + m + h)
     else:
         if left > 0:
             raise CapacityError(needed, needed - left)
-    return stego
+    return stego, ssd, violations
 
 
 def chunk_texts(pixels: Iterable[int], table: RangeTable) -> Iterator[str]:
     """The chunk text ``extract_pair`` gives each pair, by lookup; IndexError past 255 apart.
 
-    The pairs come from one iterator read twice, which copies no raster:
-    the lookup reads only the pair's difference, so the order of its two
-    pixels cannot matter.
+    The pairs come from one iterator read twice, which copies no raster.
+    The lookup is indexed by |d| only: extended to negative indexes it
+    would wrap a difference of -256 or less instead of raising.
     """
-    px = iter(pixels)
-    return map(table.texts[0].__getitem__, map(abs, map(sub, px, px)))
+    texts, px = table.texts[0], iter(pixels)
+    for first, second in zip(px, px):
+        yield texts[first - second if first > second else second - first]
 
 
 @dataclass
@@ -148,14 +159,10 @@ def pvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> PvdR
     trailing pixel are copied verbatim.  Raises CapacityError if the
     stream does not fit.
     """
-    stego = embed_walk(cover.pixels, payload, table)
-    violations = 0
-    if stego and (min(stego) < 0 or max(stego) > 255):
-        violations = sum(map(_OUTSIDE.__getitem__, stego))
+    stego, ssd, violations = embed_walk(cover.pixels, payload, table)
     walked = len(stego)
-    cover_view = memoryview(cover.pixels)  # slices of a view copy nothing
-    mse, psnr_db = mse_psnr(cover_view[:walked], stego, len(cover.pixels))
-    stego += cover_view[walked:]
+    stego += memoryview(cover.pixels)[walked:]  # a slice of a view copies nothing
+    mse, psnr_db = mse_psnr_of(ssd, len(cover.pixels))
     return PvdResult(stego, violations, 8 * len(payload), walked // 2, mse, psnr_db)
 
 

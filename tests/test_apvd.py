@@ -156,6 +156,20 @@ def test_image_round_trip_full_capacity():
     assert apvd_extract_image(report.stego, TABLE) == payload
 
 
+def test_image_embed_measures_a_full_checkerboard_kernel_path_included():
+    # at full capacity a 256x256 checkerboard hits lossy corners, which the
+    # walk sends through the kernels and measures there
+    import random
+
+    from pvdstego.metrics import capacity, mse_psnr
+
+    cover = synthetic_cover("checkerboard", width=256, height=256, seed=0)
+    _, net = capacity(cover, TABLE)
+    report = apvd_embed_image(cover, random.Random(0).randbytes(net), TABLE)
+    assert report.lossy_corner_count == 122
+    assert (report.mse, report.psnr_db) == mse_psnr(cover.pixels, report.stego.pixels)
+
+
 def test_image_empty_payload():
     cover = GrayImage(28, 1, bytes([130] * 28))
     report = apvd_embed_image(cover, b"", TABLE)

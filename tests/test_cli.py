@@ -304,15 +304,16 @@ def test_selftest_fails_when_a_walk_disagrees_with_the_kernels(monkeypatch, caps
     real = pvd.embed_walk
 
     def off_by_one(pixels, stream, table):
-        stego = real(pixels, stream, table)
+        stego, ssd, violations = real(pixels, stream, table)
         stego[0] += 1  # the first block of every row
-        return stego
+        return stego, ssd, violations
 
     monkeypatch.setattr(pvd, "embed_walk", off_by_one)
     widths = ",".join(["8"] * 32)
     assert main(["selftest", "--widths", widths]) == cli.EXIT_SELFTEST
     captured = capsys.readouterr()
-    assert "walk mismatches: 256" in captured.out
+    # each row's first pair, and the squared error the walk reports for its stego
+    assert "walk mismatches: 512" in captured.out
     assert "selftest passed" not in captured.out
     assert "pvd embed item(s) differ from the kernels" in captured.err
 

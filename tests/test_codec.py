@@ -140,7 +140,7 @@ def _walked_chunks(stream: bytes, diffs, widths=DEFAULT_WIDTHS) -> list[int]:
     """
     table = build_range_table(widths)
     cover = bytes(v for d in diffs for v in (64, 64 + d))
-    stego = embed_walk(cover, stream, table)
+    stego = embed_walk(cover, stream, table)[0]
     walked = [abs(a - b) for a, b in zip(stego[0::2], stego[1::2])]
     return [d - table.lower[d] for d in walked]
 

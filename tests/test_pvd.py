@@ -11,7 +11,7 @@ from pvdstego.codec import (
     frame_payload,
 )
 from pvdstego.imagery import GrayImage
-from pvdstego.metrics import capacity
+from pvdstego.metrics import capacity, mse_psnr
 from pvdstego.pvd import (
     adjust_pair,
     clamp_raster,
@@ -103,6 +103,19 @@ def test_image_embed_counts_violations():
     assert result.blocks_used == 3
     assert result.stego[2:] == [128] * 6  # zero chunks at d = 0 change nothing
     assert result.violations == sum(1 for v in result.stego if not 0 <= v <= 255)
+
+
+def test_image_embed_counts_violations_on_either_side_and_measures_the_wide_raster():
+    # (256,): each block's byte is its new difference; 40 pushes the first four apart
+    cover = GrayImage(5, 3, bytes([250, 240, 240, 250, 15, 5, 5, 15, 100, 100, 200, 0, 9, 9, 77]))
+    result = pvd_embed_image(cover, bytes([40, 40, 40, 40, 7, 3]), build_range_table((256,)))
+    assert result.stego == [
+        *(265, 225, 225, 265),  # p >= q: p leaves above 255; p < q: q does
+        *(30, -10, -10, 30),  # p >= q: q leaves below 0; p < q: p does
+        *(104, 97, 101, 98, 9, 9, 77),
+    ]
+    assert result.violations == 4 == sum(1 for v in result.stego if not 0 <= v <= 255)
+    assert (result.mse, result.psnr_db) == mse_psnr(cover.pixels, result.stego)
 
 
 def test_image_embed_flat_cover_no_violations():

@@ -128,6 +128,7 @@ def test_walks_match_block_by_block_kernels(seed, width, height):
         branch_counts[branch] += 1
         mark_case_counts[case] = mark_case_counts.get(case, 0) + 1
     assert report.stego.pixels == bytes(stego)
+    assert (report.mse, report.psnr_db) == mse_psnr(cover.pixels, stego)
     assert report.branch_counts == branch_counts
     assert list(report.mark_case_counts.items()) == list(mark_case_counts.items())
     assert report.bits_embedded == bits == 8 * len(framed)
@@ -141,6 +142,7 @@ def test_walks_match_block_by_block_kernels(seed, width, height):
     result = pvd_embed_image(cover, framed, table)
     wide, violations, bits = _reference_embed(cover, framed, table, adaptive=False)
     assert result.stego == wide
+    assert (result.mse, result.psnr_db) == mse_psnr(cover.pixels, wide)
     assert result.violations == sum(violations) == sum(1 for v in wide if not 0 <= v <= 255)
     assert result.bits_embedded == bits
     assert result.blocks_used == len(violations)
@@ -257,8 +259,13 @@ def _spoil_walk(stego, *rest):
     return stego, *rest
 
 
+def _add_one(result, which: int):
+    """The walk's result with 1 added to its squared error (1) or pvd's violation count (2)."""
+    return (*result[:which], result[which] + 1, *result[which + 1 :])
+
+
 def _spoil_count(result, which: int):
-    """One more of the first label in the apvd walk's branch (1) or mark-case (2) counts."""
+    """One more of the first label in the apvd walk's branch (2) or mark-case (3) counts."""
     result = list(result)
     counts = result[which] = dict(result[which])
     counts[next(iter(counts))] += 1
@@ -266,21 +273,26 @@ def _spoil_count(result, which: int):
 
 
 @pytest.mark.parametrize(
-    "module,name,spoil,what",
+    "module,name,spoil,what,also",
     [
-        (pvd, "embed_walk", lambda stego: stego[:2] + [stego[2] - 1] + stego[3:], "pvd embed"),
-        (apvd, "embed_walk", lambda result: _spoil_walk(*result), "apvd embed"),
-        (apvd, "embed_walk", lambda result: _spoil_count(result, 1), "apvd branch count"),
-        (apvd, "embed_walk", lambda result: _spoil_count(result, 2), "apvd mark-case count"),
+        # a spoiled stego value also moves the squared error measured on the stego
+        (pvd, "embed_walk", lambda result: _spoil_walk(*result), "pvd embed", "pvd squared error"),
+        (pvd, "embed_walk", lambda result: _add_one(result, 1), "pvd squared error", None),
+        (pvd, "embed_walk", lambda result: _add_one(result, 2), "pvd violation count", None),
+        (apvd, "embed_walk", lambda result: _spoil_walk(*result), "apvd embed", "apvd squared error"),
+        (apvd, "embed_walk", lambda result: _add_one(result, 1), "apvd squared error", None),
+        (apvd, "embed_walk", lambda result: _spoil_count(result, 2), "apvd branch count", None),
+        (apvd, "embed_walk", lambda result: _spoil_count(result, 3), "apvd mark-case count", None),
     ],
 )
-def test_walk_check_counts_a_walk_that_disagrees(monkeypatch, module, name, spoil, what):
+def test_walk_check_counts_a_walk_that_disagrees(monkeypatch, module, name, spoil, what, also):
     real = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: spoil(real(*args)))
     part = oracle._sweep_span(TABLE.widths, 100, 102)
-    assert part.walk_mismatches == 2  # one item in each row
+    whats = [what, also] if also else [what]
+    assert part.walk_mismatches == 2 * len(whats)  # one item each in each row
     assert part.failures == [
-        f"row p={p}: 1 {what} item(s) differ from the kernels" for p in (100, 101)
+        f"row p={p}: 1 {w} item(s) differ from the kernels" for p in (100, 101) for w in whats
     ]
 
 
