@@ -21,11 +21,12 @@ exhaustive oracle in :mod:`pvdstego.oracle` checks them case by case.
 The embed walk (``embed_walk``) is one loop that inlines the common
 block -- plain attempt in range, flag-0 mark without a boundary
 sub-case -- and calls the two embed kernels for every other block, so
-the boundary logic is written once.  The extraction kernel reads only
-the difference and the first pixel's LSB, so the extraction walk looks
-each block's chunk text up instead (``chunk_texts``).  The oracle runs
-the embed walk over every case and the lookup over every pair, and
-compares them with the kernels.
+the boundary logic is written once; ``apvd_embed_image`` is the walk
+over a framed payload.  The extraction kernel reads only the difference
+and the first pixel's LSB, so the extraction walk looks each block's
+chunk text up instead (``chunk_texts``).  The oracle runs the embed
+walk over every case and the lookup over every pair, and compares them
+with the kernels.
 
 One marked state is unrecoverable: the pair (0, 255) with flag 0 cannot
 be adjusted without leaving the range, so the mark step leaves it alone
@@ -42,7 +43,7 @@ Branch and mark-case labels used in reports:
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .codec import HEADER_BITS, CapacityError, RangeTable
 from .codec import collect_frame, deframe_payload, frame_payload
@@ -159,18 +160,11 @@ def mark_with_case(
     return (p, q - 1), "drop/11"
 
 
-def read_flag_and_adjust(pixels: tuple[int, int]) -> tuple[int, int]:
-    """Recover the flag from the first pixel's LSB and undo the mark."""
-    first = pixels[0]
-    flag = first & 1
-    return flag, (first - 1 if flag else first + 1)
-
-
 def extract_block_value(first: int, second: int, table: RangeTable) -> tuple[int, int]:
     """The extraction kernel: (chunk value, t) of a marked stego pair.
 
-    Undoes the mark as read_flag_and_adjust does, inlined.  The walk
-    looks its results up instead (``chunk_texts``).
+    Undoes the mark before it reads the difference.  The walk looks its
+    results up instead (``chunk_texts``).
     """
     if first & 1:  # flag 1: restore the dropped MSB
         d = first - 1 - second
@@ -184,20 +178,39 @@ def extract_block_value(first: int, second: int, table: RangeTable) -> tuple[int
     return d - table.lower[d], table.t[d]
 
 
-def embed_walk(
-    pixels: Sequence[int], stream: bytes, table: RangeTable
-) -> tuple[bytearray, int, dict[str, int], dict[str, int], list[tuple[int, int | None]]]:
+@dataclass
+class ApvdReport:
+    """One embed run: stego image plus branch and quality statistics.
+
+    ``lossy_corners`` lists each lossy-corner block as (block ordinal,
+    index of the payload byte it corrupts, or None for a header bit).
+    """
+
+    stego: GrayImage
+    bits_embedded: int
+    blocks_used: int
+    branch_counts: dict[str, int]
+    mark_case_counts: dict[str, int]
+    lossy_corners: list[tuple[int, int | None]]
+    mse: float
+    psnr_db: float
+
+    @property
+    def lossy_corner_count(self) -> int:
+        return len(self.lossy_corners)
+
+
+def embed_walk(cover: GrayImage, stream: bytes, table: RangeTable) -> ApvdReport:
     """The adaptive embed walk over each block until the stream is out.
 
-    Returns the marked stego values of the blocks walked, their squared
-    error, the branch counts, the mark-case counts in the order the
-    cases first occur, and the lossy corners as ``ApvdReport`` lists
-    them.  One loop: chunks are cut as in ``pvd.embed_walk``, and a
-    block whose plain attempt stays in range and whose flag-0 mark needs
-    no boundary sub-case is embedded and marked inline; every other
-    block goes through ``embed_block_values`` and ``mark_with_case``.
-    Raises CapacityError, with the sum of t over every block as the bits
-    available, if the stream outlasts the blocks.
+    Embeds ``stream`` as it is; ``apvd_embed_image`` frames a payload
+    first.  One loop: chunks are cut as in ``pvd.pvd_embed_image``, and
+    a block whose plain attempt stays in range and whose flag-0 mark
+    needs no boundary sub-case is embedded and marked inline; every
+    other block goes through ``embed_block_values`` and
+    ``mark_with_case``.  Mark cases are counted in the order they first
+    occur.  Raises CapacityError, with the sum of t over every block as
+    the bits available, if the stream outlasts the blocks.
     """
     t_of, lower, se = table.t, table.lower, SQUARED_ERROR
     next_byte = iter(stream).__next__
@@ -210,7 +223,7 @@ def embed_walk(
     branch_counts = dict.fromkeys(BRANCHES, 0)
     lossy_corners = []
     ssd = 0
-    px = iter(pixels)
+    px = iter(cover.pixels)
     for p, q in zip(px, px):
         if left <= 0:
             break
@@ -223,7 +236,7 @@ def embed_walk(
         chunk = acc >> held
         acc &= (1 << held) - 1
         left -= t
-        m = lower[d] + chunk - d  # d' - d; adjust_pair inlined as in pvd.embed_walk
+        m = lower[d] + chunk - d  # d' - d; adjust_pair inlined as in pvd.pvd_embed_image
         if m > 0:
             h = m >> 1
             a, b = (p + m - h, q - h) if p >= q else (p - h, q + m - h)
@@ -262,44 +275,12 @@ def embed_walk(
     branch_counts[BRANCH_PLAIN] = len(codes) - others
     seen = sorted((codes.find(code), code) for code in range(len(MARK_CASES)))
     mark_case_counts = {MARK_CASES[code]: codes.count(code) for first, code in seen if first >= 0}
-    return stego, ssd, branch_counts, mark_case_counts, lossy_corners
-
-
-@dataclass
-class ApvdReport:
-    """One embed run: stego image plus branch and quality statistics.
-
-    ``lossy_corners`` lists each lossy-corner block as (block ordinal,
-    index of the payload byte it corrupts, or None for a header bit).
-    """
-
-    stego: GrayImage
-    bits_embedded: int
-    blocks_used: int
-    branch_counts: dict[str, int]
-    mark_case_counts: dict[str, int]
-    lossy_corners: list[tuple[int, int | None]]
-    mse: float
-    psnr_db: float
-
-    @property
-    def lossy_corner_count(self) -> int:
-        return len(self.lossy_corners)
-
-
-def apvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> ApvdReport:
-    """Frame the payload and embed it block by block; stego stays 8-bit.
-
-    Raises CapacityError if the framed payload does not fit.
-    """
-    framed = frame_payload(payload)
-    stego, ssd, branch_counts, mark_case_counts, lossy_corners = embed_walk(cover.pixels, framed, table)
     walked = len(stego)
     stego += memoryview(cover.pixels)[walked:]  # a slice of a view copies nothing
     mse, psnr_db = mse_psnr_of(ssd, len(cover.pixels))
     return ApvdReport(
         stego=GrayImage(cover.width, cover.height, bytes(stego)),
-        bits_embedded=8 * len(framed),
+        bits_embedded=needed,
         blocks_used=walked // 2,
         branch_counts=branch_counts,
         mark_case_counts=mark_case_counts,
@@ -309,11 +290,19 @@ def apvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> Apv
     )
 
 
+def apvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> ApvdReport:
+    """Frame the payload and embed it block by block; stego stays 8-bit.
+
+    Raises CapacityError if the framed payload does not fit.
+    """
+    return embed_walk(cover, frame_payload(payload), table)
+
+
 def chunk_texts(pixels: Iterable[int], table: RangeTable) -> Iterator[str]:
     """The chunk text ``extract_block_value`` gives each marked pair, by lookup.
 
     The pairs come from one iterator read twice, which copies no raster.
-    The mark is undone as in ``read_flag_and_adjust``, and a set flag
+    The mark is undone as in ``extract_block_value``, and a set flag
     reads the text with the MSB set.  Both lookups are extended to index
     -d with the text of d, so the signed difference indexes them.
     """

@@ -23,7 +23,7 @@ _WINDOW = 4096
 
 
 class CapacityError(ValueError):
-    """Payload does not fit into the carrier image."""
+    """Payload does not fit into the carrier image or the length header."""
 
     def __init__(self, needed_bits: int, available_bits: int):
         super().__init__(
@@ -128,10 +128,15 @@ def collect_frame(texts: Iterable[str]) -> bytes:
 
 
 def frame_payload(message: bytes) -> bytes:
-    """Prefix the message with a 32-bit big-endian bit-count header."""
+    """Prefix the message with a 32-bit big-endian bit-count header.
+
+    Raises CapacityError, naming the header, at 2**29 bytes or more.
+    """
     nbits = len(message) * 8
     if nbits >= 1 << HEADER_BITS:
-        raise ValueError("message too long for the 32-bit length header")
+        error = CapacityError(nbits, (1 << HEADER_BITS) - 1)
+        error.args = (f"message of {nbits} bits too long for the {HEADER_BITS}-bit length header",)
+        raise error
     return nbits.to_bytes(HEADER_BITS // 8, "big") + message
 
 

@@ -14,13 +14,11 @@ checks, per case, the per-block kernels of both schemes:
   counted lossy-corner blocks, which must be off by exactly one.
 
 The sweep goes one row, one first-pixel value p, at a time.  Once the
-kernels have run over a row's cases, both embed walks (``embed_walk`` in
-each scheme, which inline the kernels' arithmetic) run once over a cover
-holding those cases in sweep order and must give the kernels' stego
-pairs block for block, and the adaptive walk the row's branch and
-mark-case counts; each walk's squared error must match
-``metrics.mse_psnr`` on its stego, and the baseline walk's violation
-count its values outside [0, 255].  What differs is ``walk_mismatches``.
+kernels have run over a row's cases, both embed walks
+(``pvd.pvd_embed_image`` and ``apvd.embed_walk``, which inline the
+kernels' arithmetic) run once over a cover holding those cases in sweep
+order, and every field of their results is checked against the kernels,
+the cover and ``metrics.mse_psnr``.  What differs is ``walk_mismatches``.
 After the sweep, the walks' extraction lookups (``chunk_texts`` in each
 scheme) are checked once on every pair they can meet: the adaptive one
 on [0, 255]^2, the baseline one on the wide window, where a pair more
@@ -38,7 +36,8 @@ from itertools import product, zip_longest
 
 from . import apvd, pvd
 from .codec import RangeTable
-from .metrics import mse_psnr, mse_psnr_of
+from .imagery import GrayImage
+from .metrics import mse_psnr
 
 FAIL_LIMIT = 5  # counterexamples kept per result, merged ones too; enough to diagnose
 
@@ -132,7 +131,8 @@ def _check_pair(
             fail(chunk, f"marked pair ({m1},{m2}) out of range")
         marked += (m1, m2)
 
-        flag_back, adjusted = apvd.read_flag_and_adjust((m1, m2))
+        flag_back = m1 & 1  # the mark undone by hand, as extraction undoes it
+        adjusted = m1 - 1 if flag_back else m1 + 1
         value, t_back = apvd.extract_block_value(m1, m2, table)
         if case == apvd.LOSSY_MARK_CASE:
             out.lossy_corner_cases.append((p, q, chunk))
@@ -189,8 +189,10 @@ def _sweep_row(p: int, table: RangeTable, window: tuple[int, int]) -> OracleResu
     The walks' cover holds block (p, q) once per chunk of its range and
     the stream hands each block its chunk, so each walk meets the row's
     cases in sweep order.  Filler (0, 0) blocks after them take the zero
-    fill of the stream's last byte; they enter the expected counts, not
-    the comparison of stego values.
+    fill of the stream's last byte, ceil(fill / t[0]) of them; they enter
+    the expected counts, not the comparison of stego values.  The cover
+    ends in a block the stream cannot reach and an odd pixel, so each
+    walk has a tail of the cover's to copy.
     """
     out = OracleResult()
     base: list[int] = []
@@ -204,31 +206,40 @@ def _sweep_row(p: int, table: RangeTable, window: tuple[int, int]) -> OracleResu
     fill = -len(bits) % 8
     stream = (int(bits, 2) << fill).to_bytes((len(bits) + fill) // 8, "big")
     # a filler block takes at least one bit
-    cover = b"".join(bytes((p, q)) * (1 << t) for q, t in enumerate(ts)) + bytes(2 * fill)
+    cover = b"".join(bytes((p, q)) * (1 << t) for q, t in enumerate(ts)) + bytes(2 * fill) + b"\1\2\3"
+    image = GrayImage(len(cover), 1, cover)
     try:
-        wide, wide_ssd, violations = pvd.embed_walk(cover, stream, table)
-        stego, ssd, branches, cases, _ = apvd.embed_walk(cover, stream, table)
+        wide = pvd.pvd_embed_image(image, stream, table)
+        report = apvd.embed_walk(image, stream, table)
     except ValueError as exc:  # CapacityError, or a value the stego bytearray refuses
         out.walk_mismatches += 1
         if len(out.failures) < FAIL_LIMIT:
             out.failures.append(f"row p={p}: an embed walk raised {exc!r}")
         return out
 
+    fillers = -(-fill // table.t[0])
+    walked = len(base) + 2 * fillers  # stego values of the blocks walked
     want_branches, want_cases = dict(out.branch_counts), dict(out.mark_case_counts)
-    fillers = (len(stego) - len(marked)) // 2
     if fillers:
         pair, flag, branch = apvd.embed_block_values(0, 0, 0, table)
         case = apvd.mark_with_case(pair, flag)[1]
         want_branches[branch] += fillers
         want_cases[case] = want_cases.get(case, 0) + fillers
+    stego, tail = report.stego.pixels, list(cover[walked:])
     for what, got, want in (
-        ("pvd embed", wide[: len(base)], base),
-        ("pvd squared error", [mse_psnr_of(wide_ssd, len(wide))], [mse_psnr(cover[: len(wide)], wide)]),
-        ("pvd violation count", [violations], [len([v for v in wide if v < 0 or v > 255])]),
+        ("pvd embed", wide.stego[: len(base)], base),
+        ("pvd tail", wide.stego[walked:], tail),
+        ("pvd blocks used", [wide.blocks_used], [walked // 2]),
+        ("pvd bits embedded", [wide.bits_embedded], [8 * len(stream)]),
+        ("pvd squared error", [(wide.mse, wide.psnr_db)], [mse_psnr(cover, wide.stego)]),
+        ("pvd violation count", [wide.violations], [len([v for v in wide.stego if v < 0 or v > 255])]),
         ("apvd embed", list(stego[: len(marked)]), marked),
-        ("apvd squared error", [mse_psnr_of(ssd, len(stego))], [mse_psnr(cover[: len(stego)], stego)]),
-        ("apvd branch count", sorted(branches.items()), sorted(want_branches.items())),
-        ("apvd mark-case count", sorted(cases.items()), sorted(want_cases.items())),
+        ("apvd tail", list(stego[walked:]), tail),
+        ("apvd blocks used", [report.blocks_used], [walked // 2]),
+        ("apvd bits embedded", [report.bits_embedded], [8 * len(stream)]),
+        ("apvd squared error", [(report.mse, report.psnr_db)], [mse_psnr(cover, stego)]),
+        ("apvd branch count", sorted(report.branch_counts.items()), sorted(want_branches.items())),
+        ("apvd mark-case count", sorted(report.mark_case_counts.items()), sorted(want_cases.items())),
     ):
         if got != want:
             bad = sum(g != w for g, w in zip_longest(got, want))

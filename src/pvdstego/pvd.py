@@ -11,12 +11,12 @@ and surfaced, never silently repaired; the adaptive variant in
 
 ``embed_pair`` and ``extract_pair`` are the block kernels, which the
 selftest checks case by case.  The image walks do not call them per
-block: ``embed_walk`` is one loop with the kernel's arithmetic inlined,
-cutting each chunk from the stream as it goes, and extraction looks each
-block's chunk text up in the table's ``texts`` (``chunk_texts``) for
-``codec.collect_frame`` to pack.  The selftest also runs the embed walk
-over every case and the lookup over every pair of the wide window, and
-compares them with the kernels.
+block: ``pvd_embed_image`` is one loop with the kernel's arithmetic
+inlined, cutting each chunk from the stream as it goes, and extraction
+looks each block's chunk text up in the table's ``texts``
+(``chunk_texts``) for ``codec.collect_frame`` to pack.  The selftest
+also runs ``pvd_embed_image`` over every case and the lookup over every
+pair of the wide window, and compares them with the kernels.
 """
 
 from dataclasses import dataclass
@@ -70,23 +70,41 @@ def extract_pair(first: int, second: int, table: RangeTable) -> tuple[int, int]:
     return d - table.lower[d], table.t[d]
 
 
-def embed_walk(pixels: Sequence[int], stream: bytes, table: RangeTable) -> tuple[list[int], int, int]:
-    """The baseline embed walk: ``embed_pair`` over each block until the stream is out.
+@dataclass
+class PvdResult:
+    """Embedding trace: wide stego raster plus violation and quality statistics.
 
-    Returns the stego values of the blocks walked, in order, their squared
-    error and how many leave [0, 255].  One loop with the kernel's
-    arithmetic inlined: each chunk is cut from an accumulator of at most
-    15 bits, the final one zero-filled to its block's t.  Raises
-    CapacityError, with the sum of t over every block as the bits
-    available, if the stream outlasts the blocks.
+    ``violations`` counts the stego values outside [0, 255], all of them
+    in the first ``2 * blocks_used`` values; the rest is the cover's.
+    ``mse`` and ``psnr_db`` measure the wide raster against the cover,
+    the distortion the arithmetic produced before any clamp.
+    """
+
+    stego: list[int]
+    violations: int
+    bits_embedded: int
+    blocks_used: int
+    mse: float
+    psnr_db: float
+
+
+def pvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> PvdResult:
+    """Embed a stream with ``embed_pair`` over each block until it is exhausted.
+
+    The caller frames the stream (see codec.frame_payload).  One loop
+    with the kernel's arithmetic inlined: each chunk is cut from an
+    accumulator of at most 15 bits, the final one zero-filled to its
+    block's t.  Untouched blocks and any odd trailing pixel are copied
+    verbatim.  Raises CapacityError, with the sum of t over every block
+    as the bits available, if the stream outlasts the blocks.
     """
     t_of, lower, se = table.t, table.lower, SQUARED_ERROR
-    next_byte = iter(stream).__next__
-    needed = left = 8 * len(stream)  # left: stream bits not yet embedded
+    next_byte = iter(payload).__next__
+    needed = left = 8 * len(payload)  # left: stream bits not yet embedded
     acc = held = 0  # acc: the last ``held`` of them read from the stream
     stego: list[int] = []
     ssd = violations = 0
-    px = iter(pixels)
+    px = iter(cover.pixels)
     for p, q in zip(px, px):
         if left <= 0:
             break
@@ -118,7 +136,10 @@ def embed_walk(pixels: Sequence[int], stream: bytes, table: RangeTable) -> tuple
     else:
         if left > 0:
             raise CapacityError(needed, needed - left)
-    return stego, ssd, violations
+    walked = len(stego)
+    stego += memoryview(cover.pixels)[walked:]  # a slice of a view copies nothing
+    mse, psnr_db = mse_psnr_of(ssd, len(cover.pixels))
+    return PvdResult(stego, violations, needed, walked // 2, mse, psnr_db)
 
 
 def chunk_texts(pixels: Iterable[int], table: RangeTable) -> Iterator[str]:
@@ -131,39 +152,6 @@ def chunk_texts(pixels: Iterable[int], table: RangeTable) -> Iterator[str]:
     texts, px = table.texts[0], iter(pixels)
     for first, second in zip(px, px):
         yield texts[first - second if first > second else second - first]
-
-
-@dataclass
-class PvdResult:
-    """Embedding trace: wide stego raster plus violation and quality statistics.
-
-    ``violations`` counts the stego values outside [0, 255], all of them
-    in the first ``2 * blocks_used`` values; the rest is the cover's.
-    ``mse`` and ``psnr_db`` measure the wide raster against the cover,
-    the distortion the arithmetic produced before any clamp.
-    """
-
-    stego: list[int]
-    violations: int
-    bits_embedded: int
-    blocks_used: int
-    mse: float
-    psnr_db: float
-
-
-def pvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> PvdResult:
-    """Embed a stream block by block until it is exhausted.
-
-    The caller frames the stream (see codec.frame_payload); the final
-    chunk is zero-filled to its block's t.  Untouched blocks and any odd
-    trailing pixel are copied verbatim.  Raises CapacityError if the
-    stream does not fit.
-    """
-    stego, ssd, violations = embed_walk(cover.pixels, payload, table)
-    walked = len(stego)
-    stego += memoryview(cover.pixels)[walked:]  # a slice of a view copies nothing
-    mse, psnr_db = mse_psnr_of(ssd, len(cover.pixels))
-    return PvdResult(stego, violations, 8 * len(payload), walked // 2, mse, psnr_db)
 
 
 def pvd_extract_image(stego: Sequence[int], table: RangeTable) -> bytes:

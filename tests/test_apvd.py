@@ -17,7 +17,6 @@ from pvdstego.apvd import (
     extract_block_value,
     mark_with_case,
     one_sided_pair,
-    read_flag_and_adjust,
 )
 from pvdstego.codec import CapacityError, PayloadError, build_range_table
 from pvdstego.imagery import GrayImage, synthetic_cover
@@ -83,13 +82,11 @@ def test_mark_table_rows(given_, expected):
     assert (marked, case) == expected
     assert 0 <= marked[0] <= 255 and 0 <= marked[1] <= 255
     assert marked[0] & 1 == flag
-    read_flag, adjusted = read_flag_and_adjust(marked)
-    assert read_flag == flag
-    if case == LOSSY_MARK_CASE:
-        # flag survives, but the difference reads back one short
-        assert abs(adjusted - marked[1]) == abs(pixels[1] - pixels[0]) - 1
-    else:
-        assert abs(adjusted - marked[1]) == abs(pixels[1] - pixels[0])
+    # extraction undoes the mark: the flag survives, and the difference
+    # too, except that the lossy corner's reads back one short
+    d = abs(pixels[1] - pixels[0]) - (case == LOSSY_MARK_CASE)
+    t = TABLE.t[d]
+    assert extract_block_value(*marked, TABLE) == (d - TABLE.lower[d] | flag << (t - 1), t)
 
 
 def test_unreachable_mark_input_rejected():
@@ -98,9 +95,11 @@ def test_unreachable_mark_input_rejected():
         mark_with_case((255, 0), 1)
 
 
-def test_read_flag_and_adjust():
-    assert read_flag_and_adjust((253, 255)) == (1, 252)
-    assert read_flag_and_adjust((100, 101)) == (0, 101)
+def test_extract_block_value_undoes_the_mark():
+    # one 8-bit range: the chunk is the difference after the undo, with
+    # the MSB set for flag 1
+    assert extract_block_value(253, 255, WIDE_TABLE) == (128 | 255 - 252, 8)  # flag 1: 253 -> 252
+    assert extract_block_value(100, 101, WIDE_TABLE) == (0, 8)  # flag 0: 100 -> 101
 
 
 @pytest.mark.parametrize(
@@ -114,7 +113,8 @@ def test_extract_block_examples(pixels, bits):
 def test_extract_always_returns_block_width_bits():
     for first in range(256):
         for second in range(256):
-            flag, adjusted = read_flag_and_adjust((first, second))
+            flag = first & 1
+            adjusted = first - 1 if flag else first + 1
             value, t = extract_block_value(first, second, TABLE)
             assert t == TABLE.t[abs(adjusted - second)]
             assert 0 <= value < 1 << t

@@ -156,6 +156,25 @@ def test_embed_capacity_exceeded(tmp_path, capsys):
     assert "capacity exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["embed", "--method", "pvd"], ["embed", "--method", "apvd"], ["compare", "--size", "8"]]
+)
+def test_payload_past_the_length_header_exits_2(tmp_path, cover_path, monkeypatch, capsys, argv):
+    payload = _write_payload(tmp_path, b"x")
+    out = tmp_path / "s.pgm"
+    if argv[0] == "embed":
+        argv = [*argv, "--cover", str(cover_path), "--out", str(out)]
+    # the file reads as a stand-in of 2**29 bytes with a length and nothing else
+    huge = type("Sized", (), {"__len__": lambda self: 1 << 29})()
+    real = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda path: huge if path == payload else real(path))
+
+    assert main([*argv, "--payload", str(payload)]) == EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.err == "capacity exceeded: message of 4294967296 bits too long for the 32-bit length header\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_extract_garbage_is_a_clean_error(tmp_path, capsys):
     blank = GrayImage(8, 8, bytes(64))
     stego_file = tmp_path / "blank.pgm"
@@ -301,14 +320,14 @@ def test_selftest_small_table(capsys):
 
 
 def test_selftest_fails_when_a_walk_disagrees_with_the_kernels(monkeypatch, capsys):
-    real = pvd.embed_walk
+    real = pvd.pvd_embed_image
 
-    def off_by_one(pixels, stream, table):
-        stego, ssd, violations = real(pixels, stream, table)
-        stego[0] += 1  # the first block of every row
-        return stego, ssd, violations
+    def off_by_one(cover, stream, table):
+        result = real(cover, stream, table)
+        result.stego[0] += 1  # the first block of every row
+        return result
 
-    monkeypatch.setattr(pvd, "embed_walk", off_by_one)
+    monkeypatch.setattr(pvd, "pvd_embed_image", off_by_one)
     widths = ",".join(["8"] * 32)
     assert main(["selftest", "--widths", widths]) == cli.EXIT_SELFTEST
     captured = capsys.readouterr()

@@ -17,7 +17,8 @@ from pvdstego.codec import (
     deframe_payload,
     frame_payload,
 )
-from pvdstego.pvd import embed_walk
+from pvdstego.imagery import GrayImage
+from pvdstego.pvd import pvd_embed_image
 
 
 def _stream(bits: str) -> bytes:
@@ -140,7 +141,8 @@ def _walked_chunks(stream: bytes, diffs, widths=DEFAULT_WIDTHS) -> list[int]:
     """
     table = build_range_table(widths)
     cover = bytes(v for d in diffs for v in (64, 64 + d))
-    stego = embed_walk(cover, stream, table)[0]
+    result = pvd_embed_image(GrayImage(len(cover), 1, cover), stream, table)
+    stego = result.stego[: 2 * result.blocks_used]
     walked = [abs(a - b) for a, b in zip(stego[0::2], stego[1::2])]
     return [d - table.lower[d] for d in walked]
 
@@ -178,6 +180,21 @@ def test_frame_empty_message():
 
 def test_frame_single_byte():
     assert frame_payload(b"\xff") == (8).to_bytes(4, "big") + b"\xff"
+
+
+def _sized(length: int):
+    """A stand-in message with a length and nothing else, so nothing that large is allocated."""
+    return type("Sized", (), {"__len__": lambda self: length})()
+
+
+def test_frame_refuses_a_message_past_the_length_header():
+    # 2**29 bytes are 2**32 bits, one more than the 32-bit header counts
+    with pytest.raises(CapacityError, match="32-bit length header") as info:
+        frame_payload(_sized(1 << 29))
+    assert (info.value.needed_bits, info.value.available_bits) == (1 << 32, (1 << 32) - 1)
+    # a byte less passes the check and fails only where the stand-in is joined
+    with pytest.raises(TypeError):
+        frame_payload(_sized((1 << 29) - 1))
 
 
 def test_deframe_examples():

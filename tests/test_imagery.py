@@ -16,7 +16,7 @@ from pvdstego.imagery import (
     save_pgm,
     synthetic_cover,
 )
-from pvdstego.pvd import embed_walk
+from pvdstego.pvd import pvd_embed_image
 
 TABLE = build_range_table()
 
@@ -147,7 +147,7 @@ def _walked_blocks(img: GrayImage) -> list[tuple[int, int]]:
     pixels would change the pairs.
     """
     stream = bytes(abs(p - q) for p, q in _blocks(img))
-    stego = embed_walk(img.pixels, stream, build_range_table((256,)))[0]
+    stego = pvd_embed_image(img, stream, build_range_table((256,))).stego
     return list(zip(stego[0::2], stego[1::2]))
 
 

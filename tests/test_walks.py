@@ -14,6 +14,7 @@ import math
 import random
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
@@ -246,43 +247,58 @@ def test_lookup_check_counts_a_lookup_that_misreads_its_raster(monkeypatch, modu
 
 
 def test_walk_check_covers_the_zero_fill_of_a_row():
-    # row 1 of this table holds five 1-bit blocks: its stream ends 6 bits
-    # short of a byte, and the fill lands in filler blocks
-    table = build_range_table((2, 2, 4, 8, 16, 32, 64, 128))
-    assert sum(table.t[abs(1 - q)] << table.t[abs(1 - q)] for q in range(256)) % 8 == 2
-    part = oracle._sweep_span(table.widths, 0, 3)
-    assert (part.walk_mismatches, part.failures) == (0, [])
+    # row 1 of the first table holds five 1-bit blocks: its stream ends 6
+    # bits short of a byte, and the fill lands in six 1-bit filler blocks;
+    # row 1 of the second ends 2 bits short, which one 3-bit filler takes
+    for widths, row_bits in (
+        ((2, 2, 4, 8, 16, 32, 64, 128), 2),
+        ((8, 4, 32, 4, 128, 16, 4, 2, 2, 32, 16, 4, 2, 2), 6),
+    ):
+        table = build_range_table(widths)
+        assert sum(table.t[abs(1 - q)] << table.t[abs(1 - q)] for q in range(256)) % 8 == row_bits
+        part = oracle._sweep_span(widths, 0, 3)
+        assert (part.walk_mismatches, part.failures) == (0, [])
 
 
-def _spoil_walk(stego, *rest):
-    stego[1] += 1
-    return stego, *rest
+def _flip(result, at: int):
+    """The walk's result with the LSB of stego value ``at`` flipped."""
+    stego = result.stego
+    values = list(getattr(stego, "pixels", stego))
+    values[at] ^= 1
+    if isinstance(stego, GrayImage):
+        values = replace(stego, pixels=bytes(values))
+    return replace(result, stego=values)
 
 
-def _add_one(result, which: int):
-    """The walk's result with 1 added to its squared error (1) or pvd's violation count (2)."""
-    return (*result[:which], result[which] + 1, *result[which + 1 :])
+def _add_one(result, name: str):
+    """The walk's result with 1 added to its field ``name``."""
+    return replace(result, **{name: getattr(result, name) + 1})
 
 
-def _spoil_count(result, which: int):
-    """One more of the first label in the apvd walk's branch (2) or mark-case (3) counts."""
-    result = list(result)
-    counts = result[which] = dict(result[which])
+def _spoil_count(result, name: str):
+    """One more of the first label in the apvd walk's counts ``name``."""
+    counts = dict(getattr(result, name))
     counts[next(iter(counts))] += 1
-    return tuple(result)
+    return replace(result, **{name: counts})
 
 
 @pytest.mark.parametrize(
     "module,name,spoil,what,also",
     [
         # a spoiled stego value also moves the squared error measured on the stego
-        (pvd, "embed_walk", lambda result: _spoil_walk(*result), "pvd embed", "pvd squared error"),
-        (pvd, "embed_walk", lambda result: _add_one(result, 1), "pvd squared error", None),
-        (pvd, "embed_walk", lambda result: _add_one(result, 2), "pvd violation count", None),
-        (apvd, "embed_walk", lambda result: _spoil_walk(*result), "apvd embed", "apvd squared error"),
-        (apvd, "embed_walk", lambda result: _add_one(result, 1), "apvd squared error", None),
-        (apvd, "embed_walk", lambda result: _spoil_count(result, 2), "apvd branch count", None),
-        (apvd, "embed_walk", lambda result: _spoil_count(result, 3), "apvd mark-case count", None),
+        (pvd, "pvd_embed_image", lambda result: _flip(result, 1), "pvd embed", "pvd squared error"),
+        (pvd, "pvd_embed_image", lambda result: _flip(result, -1), "pvd tail", "pvd squared error"),
+        (pvd, "pvd_embed_image", lambda result: _add_one(result, "blocks_used"), "pvd blocks used", None),
+        (pvd, "pvd_embed_image", lambda result: _add_one(result, "bits_embedded"), "pvd bits embedded", None),
+        (pvd, "pvd_embed_image", lambda result: _add_one(result, "mse"), "pvd squared error", None),
+        (pvd, "pvd_embed_image", lambda result: _add_one(result, "violations"), "pvd violation count", None),
+        (apvd, "embed_walk", lambda result: _flip(result, 1), "apvd embed", "apvd squared error"),
+        (apvd, "embed_walk", lambda result: _flip(result, -1), "apvd tail", "apvd squared error"),
+        (apvd, "embed_walk", lambda result: _add_one(result, "blocks_used"), "apvd blocks used", None),
+        (apvd, "embed_walk", lambda result: _add_one(result, "bits_embedded"), "apvd bits embedded", None),
+        (apvd, "embed_walk", lambda result: _add_one(result, "mse"), "apvd squared error", None),
+        (apvd, "embed_walk", lambda result: _spoil_count(result, "branch_counts"), "apvd branch count", None),
+        (apvd, "embed_walk", lambda result: _spoil_count(result, "mark_case_counts"), "apvd mark-case count", None),
     ],
 )
 def test_walk_check_counts_a_walk_that_disagrees(monkeypatch, module, name, spoil, what, also):
@@ -297,7 +313,7 @@ def test_walk_check_counts_a_walk_that_disagrees(monkeypatch, module, name, spoi
 
 
 def test_walk_check_counts_a_walk_that_raises(monkeypatch):
-    def out_of_range(pixels, stream, table):
+    def out_of_range(cover, stream, table):
         bytearray().append(256)
 
     monkeypatch.setattr(apvd, "embed_walk", out_of_range)
