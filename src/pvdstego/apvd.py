@@ -138,7 +138,7 @@ def mark_with_case(
         if p & 1 == 0:
             if q & 1 == 0:
                 return (p, q + 1), "keep/00"
-            if q < 255 and p >= 0:
+            if q < 255:
                 return (p, q + 1), "keep/01"
             if p > 0 and q == 255:
                 return (p - 2, q - 1), "keep/01-top"
@@ -152,7 +152,7 @@ def mark_with_case(
             return (p + 1, q), "drop/00"
         return (p + 1, q), "drop/01"
     if q & 1 == 0:
-        if q > 0 and p <= 255:
+        if q > 0:
             return (p, q - 1), "drop/10"
         if p < 255 and q == 0:
             return (p + 2, q + 1), "drop/10-bottom"

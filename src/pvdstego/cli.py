@@ -87,7 +87,6 @@ def _build_parser() -> _Parser:
     add_common(p)
 
     p = sub.add_parser("selftest", help="run the exhaustive block oracle")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes (1 = in-process)")
     add_common(p)
     return parser
 
@@ -238,7 +237,7 @@ def cmd_selftest(args) -> int:
     from . import oracle  # imported here: no other command needs it
 
     table = _table_from(args)
-    result = oracle.run(table, jobs=args.jobs)
+    result = oracle.run(table)
     print(f"cases checked: {result.total_cases}")
     print(f"lossy corner blocks: {result.lossy_corner_count}")
     print(f"lookup mismatches: {result.lookup_mismatches}")

@@ -13,7 +13,7 @@ checks, per case, the per-block kernels of both schemes:
   MSB was 1, and extraction returns the exact chunk -- except for the
   counted lossy-corner blocks, which must be off by exactly one.
 
-The sweep goes one row, one first-pixel value p, at a time.  Once the
+The sweep's unit is a row, one first-pixel value p.  Once the
 kernels have run over a row's cases, both embed walks
 (``pvd.pvd_embed_image`` and ``apvd.embed_walk``, which inline the
 kernels' arithmetic) run once over a cover holding those cases in sweep
@@ -25,13 +25,15 @@ on [0, 255]^2, the baseline one on the wide window, where a pair more
 than 255 apart must fail in both.  Each lookup reads the pairs it can
 decode as one raster; its mismatches, the rest of the raster if it stops
 early, are ``lookup_mismatches``.  Neither check is counted in
-``total_cases``.  ``run`` merges the rows' results with ``_merge``,
-in-process or, with jobs > 1, across worker processes.
+``total_cases``.  ``run`` sweeps each row as one task, over one worker
+process per CPU or in-process on one CPU, and merges their results with
+``_merge``.
 """
 
 import os
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product, zip_longest
 
 from . import apvd, pvd
@@ -57,15 +59,6 @@ class OracleResult:
     lookup_mismatches: int = 0
     walk_mismatches: int = 0
     elapsed_seconds: float = 0.0
-
-
-def expected_case_count(table: RangeTable) -> int:
-    """Case count derived arithmetically, independent of the sweep loop."""
-    total = 0
-    for d in range(256):
-        pairs = 256 if d == 0 else 2 * (256 - d)
-        total += pairs << table.t[d]
-    return total
 
 
 def _check_pair(
@@ -183,7 +176,7 @@ def _check_lookups(table: RangeTable, out: OracleResult) -> None:
             check(kernel, p, q, text)
 
 
-def _sweep_row(p: int, table: RangeTable, window: tuple[int, int]) -> OracleResult:
+def _sweep_row(p: int, table: RangeTable) -> OracleResult:
     """Check row p's cases with the kernels, then run both embed walks over them.
 
     The walks' cover holds block (p, q) once per chunk of its range and
@@ -197,6 +190,7 @@ def _sweep_row(p: int, table: RangeTable, window: tuple[int, int]) -> OracleResu
     out = OracleResult()
     base: list[int] = []
     marked: list[int] = []
+    window = pvd.wide_window(table)
     for q in range(256):
         _check_pair(p, q, table, window, out, base, marked)
 
@@ -249,12 +243,6 @@ def _sweep_row(p: int, table: RangeTable, window: tuple[int, int]) -> OracleResu
     return out
 
 
-def _sweep_span(widths: tuple[int, ...], p_start: int, p_stop: int) -> OracleResult:
-    table = RangeTable(widths)
-    window = pvd.wide_window(table)
-    return _merge([_sweep_row(p, table, window) for p in range(p_start, p_stop)])
-
-
 def _merge(parts: list[OracleResult]) -> OracleResult:
     merged = OracleResult()
     for part in parts:
@@ -271,23 +259,23 @@ def _merge(parts: list[OracleResult]) -> OracleResult:
     return merged
 
 
-def run(table: RangeTable, jobs: int = 1) -> OracleResult:
-    """Run the full sweep; jobs > 1 fans its spans out over worker processes.
+def run(table: RangeTable) -> OracleResult:
+    """Run the full sweep, one row per task, over one worker process per CPU.
 
-    The pool never has more workers than CPUs or sweep spans.
+    The pool never has more workers than rows; with one CPU, or an
+    unknown count, the rows are swept in-process.
     """
     started = time.perf_counter()
-    jobs = max(1, min(jobs, os.cpu_count() or 1))
-    step = max(1, 256 // (jobs * 4))
-    spans = [(table.widths, lo, min(256, lo + step)) for lo in range(0, 256, step)]
-    if jobs == 1:
-        parts = list(map(_sweep_span, *zip(*spans)))
+    workers = min(os.cpu_count() or 1, 256)
+    sweep = partial(_sweep_row, table=table)
+    if workers == 1:
+        parts = list(map(sweep, range(256)))
     else:
         # imported here: it loads multiprocessing, which no other command needs
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(spans))) as pool:
-            parts = list(pool.map(_sweep_span, *zip(*spans)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(sweep, range(256)))
     result = _merge(parts)
     _check_lookups(table, result)
     result.lossy_corner_cases.sort()

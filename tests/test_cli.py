@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pvdstego import apvd, cli, metrics, pvd
+from pvdstego import apvd, cli, metrics, oracle, pvd
 from pvdstego.apvd import apvd_embed_image
 from pvdstego.cli import (
     EXIT_CAPACITY,
@@ -328,6 +328,8 @@ def test_selftest_fails_when_a_walk_disagrees_with_the_kernels(monkeypatch, caps
         return result
 
     monkeypatch.setattr(pvd, "pvd_embed_image", off_by_one)
+    # in-process: a pool worker sees the patch only under the fork start method
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1)
     widths = ",".join(["8"] * 32)
     assert main(["selftest", "--widths", widths]) == cli.EXIT_SELFTEST
     captured = capsys.readouterr()
@@ -355,11 +357,13 @@ def test_compare_runs_one_capacity_pass_per_cover(tmp_path, monkeypatch, capsys,
     assert len(capsys.readouterr().out.splitlines()) == 1 + 6
 
 
-def test_selftest_parallel_matches_serial(capsys):
+def test_selftest_parallel_matches_serial(monkeypatch, capsys):
     widths = ",".join(["8"] * 32)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1)
     assert main(["selftest", "--widths", widths]) == EXIT_OK
     serial = capsys.readouterr().out
-    assert main(["selftest", "--widths", widths, "--jobs", "2"]) == EXIT_OK
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    assert main(["selftest", "--widths", widths]) == EXIT_OK
     parallel = capsys.readouterr().out
 
     def counts(text):
@@ -417,15 +421,13 @@ def test_embed_sidecar_names_lossy_corner_bytes(tmp_path, capsys):
     ]
 
 
-def test_selftest_jobs_bounded_by_cpus_and_spans(monkeypatch, capsys):
+def test_selftest_workers_bounded_by_cpus_and_rows(monkeypatch, capsys):
     import concurrent.futures
-
-    from pvdstego import oracle
 
     started = []
 
     class InlinePool:
-        """Records the requested worker count and runs the spans in-process."""
+        """Records the requested worker count and runs the rows in-process."""
 
         def __init__(self, max_workers):
             started.append(max_workers)
@@ -442,16 +444,22 @@ def test_selftest_jobs_bounded_by_cpus_and_spans(monkeypatch, capsys):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
     widths = ",".join(["2"] * 128)
-    assert main(["selftest", "--widths", widths, "--jobs", "100000"]) == EXIT_OK
+    assert main(["selftest", "--widths", widths]) == EXIT_OK
     assert "cases checked: 131072" in capsys.readouterr().out
     assert started == [3]
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1000)
-    assert main(["selftest", "--widths", widths, "--jobs", "100000"]) == EXIT_OK
-    assert started == [3, 256]  # one span per first-pixel value at most
+    assert main(["selftest", "--widths", widths]) == EXIT_OK
+    assert started == [3, 256]  # one row per first-pixel value, one worker per row at most
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
-    assert main(["selftest", "--widths", widths, "--jobs", "100000"]) == EXIT_OK
-    assert started == [3, 256]  # unknown CPU count: one job, in-process
+    assert main(["selftest", "--widths", widths]) == EXIT_OK
+    assert started == [3, 256]  # unknown CPU count: one worker, in-process
     capsys.readouterr()
+
+
+def test_selftest_refuses_a_jobs_option(capsys):
+    # the sweep sizes its pool from the CPU count; a worker count is not taken from input
+    assert main(["selftest", "--jobs", "2"]) == EXIT_USAGE
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_cli_start_leaves_the_process_pool_unimported():
@@ -465,4 +473,4 @@ def test_cli_start_leaves_the_process_pool_unimported():
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    assert out == "False False\n"  # selftest loads the oracle; selftest --jobs 2 the pool
+    assert out == "False False\n"  # selftest loads the oracle, and the pool on more than one CPU

@@ -154,9 +154,9 @@ def test_walks_match_block_by_block_kernels(seed, width, height):
 @pytest.mark.parametrize("widths", [(256,), (128, 128)])
 @pytest.mark.parametrize("p_start", [0, 255])
 def test_oracle_passes_wide_tables_at_the_edges(widths, p_start):
-    part = oracle._sweep_span(widths, p_start, p_start + 1)
-    assert part.failures == []
     table = build_range_table(widths)
+    part = oracle._sweep_row(p_start, table)
+    assert part.failures == []
     assert part.total_cases == sum(1 << table.t[abs(q - p_start)] for q in range(256))
 
 
@@ -164,7 +164,8 @@ def test_oracle_passes_the_single_bit_table():
     table = build_range_table((2,) * 128)
     result = oracle.run(table)
     assert result.failures == []
-    assert result.total_cases == oracle.expected_case_count(table) == 256 * 256 * 2
+    expected = sum(1 << table.t[abs(q - p)] for p in range(256) for q in range(256))
+    assert result.total_cases == expected == 256 * 256 * 2
     assert sum(result.branch_counts.values()) == result.total_cases
     # as on the default table: a pair in the last range, spread about the
     # middle, with an all-ones chunk
@@ -256,8 +257,13 @@ def test_walk_check_covers_the_zero_fill_of_a_row():
     ):
         table = build_range_table(widths)
         assert sum(table.t[abs(1 - q)] << table.t[abs(1 - q)] for q in range(256)) % 8 == row_bits
-        part = oracle._sweep_span(widths, 0, 3)
+        part = _sweep_rows(table, range(3))
         assert (part.walk_mismatches, part.failures) == (0, [])
+
+
+def _sweep_rows(table, rows):
+    """The oracle's sweep of ``rows`` alone, in-process, merged as ``run`` merges."""
+    return oracle._merge([oracle._sweep_row(p, table) for p in rows])
 
 
 def _flip(result, at: int):
@@ -304,7 +310,7 @@ def _spoil_count(result, name: str):
 def test_walk_check_counts_a_walk_that_disagrees(monkeypatch, module, name, spoil, what, also):
     real = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: spoil(real(*args)))
-    part = oracle._sweep_span(TABLE.widths, 100, 102)
+    part = _sweep_rows(TABLE, (100, 101))
     whats = [what, also] if also else [what]
     assert part.walk_mismatches == 2 * len(whats)  # one item each in each row
     assert part.failures == [
@@ -317,7 +323,7 @@ def test_walk_check_counts_a_walk_that_raises(monkeypatch):
         bytearray().append(256)
 
     monkeypatch.setattr(apvd, "embed_walk", out_of_range)
-    part = oracle._sweep_span(TABLE.widths, 100, 102)
+    part = _sweep_rows(TABLE, (100, 101))
     assert part.walk_mismatches == 2
     assert [f[: f.index(":")] for f in part.failures] == ["row p=100", "row p=101"]
     assert all("an embed walk raised ValueError" in f for f in part.failures)
