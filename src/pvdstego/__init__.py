@@ -17,7 +17,7 @@ from .codec import (
     frame_payload,
 )
 from .imagery import GrayImage, PgmError, load_pgm, save_pgm, synthetic_cover
-from .metrics import ComparisonRow, capacity, compare
+from .metrics import ComparisonRow, capacity
 from .pvd import PvdResult, pvd_embed_image, pvd_extract_image
 
 __version__ = "0.1.0"
@@ -36,7 +36,6 @@ __all__ = [
     "apvd_extract_image",
     "build_range_table",
     "capacity",
-    "compare",
     "deframe_payload",
     "frame_payload",
     "load_pgm",

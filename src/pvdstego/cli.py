@@ -218,12 +218,16 @@ def cmd_compare(args) -> int:
     fixed_payload = Path(args.payload).read_bytes() if args.payload else None
     rows = []
     for name, cover in _compare_covers(args):
-        if fixed_payload is None:
-            _, net = metrics.capacity(cover, table)
-            payload = random.Random(args.seed).randbytes(net)
-            rows.extend(metrics.compare(cover, payload, table, name=name, net_bytes=net))
-        else:
-            rows.extend(metrics.compare(cover, fixed_payload, table, name=name))
+        _, net = metrics.capacity(cover, table)
+        payload = random.Random(args.seed).randbytes(net) if fixed_payload is None else fixed_payload
+        # the same two calls as embed; pvd's PSNR is taken on its unclamped
+        # wide raster, the distortion its arithmetic actually produced
+        base = pvd_embed_image(cover, frame_payload(payload), table)
+        adaptive = apvd_embed_image(cover, payload, table)
+        rows += [
+            metrics.ComparisonRow(name, "pvd", net, base.psnr_db, base.violations),
+            metrics.ComparisonRow(name, "apvd", net, adaptive.psnr_db, 0),
+        ]
     if args.format == "csv":
         sys.stdout.write(metrics.rows_to_csv(rows))
     elif args.format == "json":

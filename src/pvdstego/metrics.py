@@ -1,10 +1,10 @@
-"""Image-quality and payload metrics: MSE/PSNR, capacity, method comparison."""
+"""Image-quality and payload metrics: MSE/PSNR, capacity, comparison rows."""
 
 import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
-from .codec import HEADER_BITS, RangeTable, frame_payload
+from .codec import HEADER_BITS, RangeTable
 from .imagery import GrayImage
 
 PEAK_SQUARED = 255 * 255
@@ -54,36 +54,6 @@ def capacity(cover: GrayImage, table: RangeTable) -> tuple[int, int]:
     for p, q in zip(px, px):
         raw += t_of[p - q if p > q else q - p]
     return raw, max(0, (raw - HEADER_BITS) // 8)
-
-
-def compare(
-    cover: GrayImage,
-    payload: bytes,
-    table: RangeTable,
-    name: str = "cover",
-    net_bytes: int | None = None,
-) -> list[ComparisonRow]:
-    """Embed the same payload with both methods and report one row each.
-
-    ``net_bytes`` is the cover's net capacity, if the caller has already
-    computed it; otherwise the capacity pass runs here.  The violating
-    method's PSNR is computed against its unclamped wide raster,
-    measuring the distortion the arithmetic actually produced.
-    """
-    # imported here: these modules sit above metrics in the layering
-    from .apvd import apvd_embed_image
-    from .pvd import pvd_embed_image
-
-    if net_bytes is None:
-        _, net_bytes = capacity(cover, table)
-    framed = frame_payload(payload)
-    base = pvd_embed_image(cover, framed, table)
-    adaptive = apvd_embed_image(cover, payload, table)
-    assert base.bits_embedded == adaptive.bits_embedded  # capacity parity
-    return [
-        ComparisonRow(name, "pvd", net_bytes, base.psnr_db, base.violations),
-        ComparisonRow(name, "apvd", net_bytes, adaptive.psnr_db, 0),
-    ]
 
 
 _HEADER = tuple(f.name for f in fields(ComparisonRow))

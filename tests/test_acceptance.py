@@ -22,7 +22,7 @@ from pvdstego.apvd import (
 )
 from pvdstego.codec import build_range_table, frame_payload
 from pvdstego.imagery import GrayImage, synthetic_cover
-from pvdstego.metrics import capacity, compare, format_db, mse_psnr
+from pvdstego.metrics import capacity, format_db, mse_psnr
 from pvdstego.oracle import run as run_oracle
 from pvdstego.pvd import embed_pair, pvd_embed_image
 
@@ -208,8 +208,10 @@ def test_quality_delta_report(capsys):
         cover = synthetic_cover(kind, 512, 512, seed=0)
         _, net = capacity(cover, TABLE)
         payload = random.Random(42).randbytes(net)
-        rows = compare(cover, payload, TABLE, name=kind)
-        rows_by_cover.append((kind, rows[0].psnr_db, rows[1].psnr_db))
+        # the two embed calls that `compare` makes
+        base = pvd_embed_image(cover, frame_payload(payload), TABLE)
+        adaptive = apvd_embed_image(cover, payload, TABLE)
+        rows_by_cover.append((kind, base.psnr_db, adaptive.psnr_db))
     ok = all(math.isfinite(a) and math.isfinite(b) for _, a, b in rows_by_cover)
     detail = "; ".join(
         f"{kind}: baseline {a:.2f} dB, adaptive {b:.2f} dB, delta {b - a:+.2f} dB"

@@ -300,6 +300,25 @@ def test_compare_json_and_file_cover(tmp_path, capsys):
     assert all(r["cover"] == "board" for r in rows)
 
 
+def test_compare_rows(tmp_path, capsys):
+    cover = synthetic_cover("noise", width=32, height=32, seed=1)
+    cover_file = tmp_path / "noise32.pgm"
+    cover_file.write_bytes(save_pgm(cover))
+    _, net = capacity(cover, TABLE)
+    payload = _write_payload(tmp_path, b"\x5a" * net)
+    assert main([
+        "compare", "--cover", str(cover_file),
+        "--payload", str(payload), "--format", "json",
+    ]) == EXIT_OK
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["method"] for r in rows] == ["pvd", "apvd"]
+    assert rows[0]["capacity_bytes"] == rows[1]["capacity_bytes"] == net
+    assert rows[0]["cover"] == rows[1]["cover"] == "noise32"
+    assert rows[1]["violations"] == 0  # the adaptive method never leaves [0, 255]
+    assert rows[0]["violations"] > 0  # a noisy cover makes the baseline overflow
+    assert all(r["psnr_db"] != "inf" for r in rows)
+
+
 def test_compare_directory_of_covers(tmp_path, capsys):
     for kind in ("gradient", "noise"):
         img = synthetic_cover(kind, width=16, height=16, seed=4)
@@ -388,6 +407,16 @@ def test_selftest_single_bit_table(capsys):
 def test_compare_rejects_non_positive_size(size, capsys):
     assert main(["compare", "--size", size]) == EXIT_USAGE
     assert "usage error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "size, code", [(1, EXIT_CAPACITY), (2, EXIT_CAPACITY), (3, EXIT_CAPACITY), (4, EXIT_OK)]
+)
+def test_compare_cover_too_small_for_the_header_exits_2(size, code, capsys):
+    # raw capacity of the default table's covers: 0, 13 and 23 bits, then enough for the header
+    assert main(["compare", "--size", str(size)]) == code
+    err = capsys.readouterr().err
+    assert ("capacity exceeded" in err) == (code == EXIT_CAPACITY)
 
 
 def test_compare_rejects_oversized_size_before_building_covers(monkeypatch, capsys):

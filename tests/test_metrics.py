@@ -7,7 +7,6 @@ from pvdstego.imagery import GrayImage, synthetic_cover
 from pvdstego.metrics import (
     ComparisonRow,
     capacity,
-    compare,
     format_db,
     mse_psnr,
     rows_to_csv,
@@ -63,18 +62,6 @@ def test_capacity_clamps_tiny_covers_to_zero_net():
 def test_capacity_is_pure():
     cover = synthetic_cover("noise", width=16, height=16, seed=0)
     assert capacity(cover, TABLE) == capacity(cover, TABLE)
-
-
-def test_compare_rows():
-    cover = synthetic_cover("noise", width=32, height=32, seed=1)
-    _, net = capacity(cover, TABLE)
-    rows = compare(cover, b"\x5a" * net, TABLE, name="noise32")
-    assert [r.method for r in rows] == ["pvd", "apvd"]
-    assert rows[0].capacity_bytes == rows[1].capacity_bytes == net
-    assert rows[0].cover == rows[1].cover == "noise32"
-    assert rows[1].violations == 0  # the adaptive method never leaves [0, 255]
-    assert rows[0].violations > 0  # a noisy cover makes the baseline overflow
-    assert all(math.isfinite(r.psnr_db) for r in rows)
 
 
 def test_rows_to_csv_serializes_inf():
