@@ -43,11 +43,12 @@ Branch and mark-case labels used in reports:
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import Iterator
 
 from .codec import HEADER_BITS, CapacityError, RangeTable
 from .codec import collect_frame, deframe_payload, frame_payload
-from .imagery import GrayImage
+from .imagery import BLOCK_WINDOW, GrayImage, block_differences
 from .metrics import mse_psnr_of
 from .pvd import SQUARED_ERROR, adjust_pair
 
@@ -71,6 +72,8 @@ MARK_CASES = (
     *("drop/00", "drop/01", "drop/10", "drop/10-bottom", "drop/11"),
 )
 _CASE_CODE = {case: code for code, case in enumerate(MARK_CASES)}
+_UNMARK = bytes(v ^ 1 for v in range(256))  # a marked first pixel unmarked: LSB 0 +1, LSB 1 -1
+_FLAG_MASK = bytes(255 * (v & 1) for v in range(256))  # 0xFF where the flag, the LSB, is 1
 
 
 def one_sided_pair(
@@ -298,21 +301,28 @@ def apvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> Apv
     return embed_walk(cover, frame_payload(payload), table)
 
 
-def chunk_texts(pixels: Iterable[int], table: RangeTable) -> Iterator[str]:
+def chunk_texts(pixels: bytes, table: RangeTable) -> Iterator[str]:
     """The chunk text ``extract_block_value`` gives each marked pair, by lookup.
 
-    The pairs come from one iterator read twice, which copies no raster.
-    The mark is undone as in ``extract_block_value``, and a set flag
-    reads the text with the MSB set.  Both lookups are extended to index
-    -d with the text of d, so the signed difference indexes them.
+    A window of BLOCK_WINDOW blocks at a time, as the texts are read: one
+    translate undoes the mark as ``extract_block_value`` does,
+    ``block_differences`` gives each d, and a byte mask of the flags picks
+    the text of ``table.msb_set[d]`` for the blocks whose flag is set.
     """
-    plain, msb = (texts + texts[:0:-1] for texts in table.texts)
-    px = iter(pixels)
-    for first, second in zip(px, px):
-        if first & 1:
-            yield msb[first - 1 - second]
-        else:
-            yield plain[first + 1 - second]
+    texts, msb_set, step = table.texts, table.msb_set, 2 * BLOCK_WINDOW
+
+    def keys():
+        for start in range(0, len(pixels), step):
+            window = pixels[start : start + step]
+            firsts, unmarked = window[0::2], bytearray(window)
+            unmarked[0::2] = firsts.translate(_UNMARK)
+            d = block_differences(unmarked)
+            plain = int.from_bytes(d, "little")
+            msb = int.from_bytes(d.translate(msb_set), "little")
+            flags = int.from_bytes(firsts.translate(_FLAG_MASK), "little")
+            yield (plain ^ ((plain ^ msb) & flags)).to_bytes(len(d), "little")
+
+    return chain.from_iterable(map(texts.__getitem__, k) for k in keys())
 
 
 def apvd_extract_image(stego: GrayImage, table: RangeTable) -> bytes:

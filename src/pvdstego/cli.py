@@ -217,13 +217,20 @@ def cmd_compare(args) -> int:
     table = _table_from(args)
     fixed_payload = Path(args.payload).read_bytes() if args.payload else None
     rows = []
+    skipped = False
     for name, cover in _compare_covers(args):
         _, net = metrics.capacity(cover, table)
         payload = random.Random(args.seed).randbytes(net) if fixed_payload is None else fixed_payload
-        # the same two calls as embed; pvd's PSNR is taken on its unclamped
-        # wide raster, the distortion its arithmetic actually produced
-        base = pvd_embed_image(cover, frame_payload(payload), table)
-        adaptive = apvd_embed_image(cover, payload, table)
+        framed = frame_payload(payload)  # a message too long for the header fits no cover
+        try:
+            # the same two calls as embed; pvd's PSNR is taken on its unclamped
+            # wide raster, the distortion its arithmetic actually produced
+            base = pvd_embed_image(cover, framed, table)
+            adaptive = apvd_embed_image(cover, payload, table)
+        except CapacityError as exc:  # this cover is too small; the others still get rows
+            print(f"capacity exceeded: {name}: {exc}", file=sys.stderr)
+            skipped = True
+            continue
         rows += [
             metrics.ComparisonRow(name, "pvd", net, base.psnr_db, base.violations),
             metrics.ComparisonRow(name, "apvd", net, adaptive.psnr_db, 0),
@@ -234,7 +241,7 @@ def cmd_compare(args) -> int:
         print(json.dumps([{**asdict(r), "psnr_db": _json_db(r.psnr_db)} for r in rows], indent=2))
     else:
         sys.stdout.write(metrics.rows_to_table(rows))
-    return EXIT_OK
+    return EXIT_CAPACITY if skipped else EXIT_OK
 
 
 def cmd_selftest(args) -> int:

@@ -48,8 +48,8 @@ class RangeTable:
     The k-th range holds the ``widths[k]`` differences after those of
     ranges 0..k-1 and hides log2(widths[k]) bits per block.  ``t[d]`` and
     ``lower[d]`` are the bits per block and the range's lower bound for
-    each difference d, the lookups the block kernels use.  ``texts``
-    holds the chunk text each difference extracts to, built on first use.
+    each difference d, the lookups the block kernels use.  ``texts`` and
+    ``msb_set`` are extraction's lookups by difference, built on first use.
 
     Raises ValueError unless every width is a power of two >= 2 and the
     widths sum to 256, so each range hides exactly log2(width) bits.
@@ -71,14 +71,16 @@ class RangeTable:
         self.lower = tuple(start for start, w in zip(starts, widths) for _ in range(w))
 
     @cached_property
-    def texts(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """Chunk texts by difference d, plain and with the MSB set.
-
-        The plain text of d is d - lower[d] in ``t[d]`` binary digits.
-        """
+    def texts(self) -> tuple[str, ...]:
+        """Chunk text by difference d: d - lower[d] in ``t[d]`` binary digits."""
         pairs = enumerate(zip(self.t, self.lower))
-        plain = tuple(format(d - low, f"0{t}b") for d, (t, low) in pairs)
-        return plain, tuple("1" + text[1:] for text in plain)
+        return tuple(format(d - low, f"0{t}b") for d, (t, low) in pairs)
+
+    @cached_property
+    def msb_set(self) -> bytes:
+        """By difference d, the difference whose text is d's with the MSB set."""
+        pairs = enumerate(zip(self.t, self.lower))
+        return bytes(low + (d - low | 1 << (t - 1)) for d, (t, low) in pairs)
 
     def __eq__(self, other):
         return isinstance(other, RangeTable) and self.widths == other.widths

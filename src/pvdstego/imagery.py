@@ -5,6 +5,7 @@ the embedders and the extractors walk the raster in flat row-major
 order, pairing consecutive pixels into non-overlapping two-pixel blocks
 (``pixels[0::2]`` with ``pixels[1::2]``, a block may straddle a row
 end); an odd trailing pixel belongs to no block and is never modified.
+``block_differences`` gives every block's |p - q| in whole-raster int steps.
 """
 
 import random
@@ -25,12 +26,35 @@ class GrayImage:
     pixels: bytes
 
     def __post_init__(self):
+        if not isinstance(self.pixels, bytes):
+            raise TypeError(f"pixels must be bytes, got {type(self.pixels).__name__}")
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"image dimensions must be positive, got {self.width}x{self.height}")
         if len(self.pixels) != self.width * self.height:
             raise ValueError(
                 f"pixel count {len(self.pixels)} does not match {self.width}x{self.height}"
             )
+
+
+BLOCK_WINDOW = 4096  # blocks per block_differences call in metrics.capacity and apvd extraction
+
+
+def block_differences(pixels: bytes) -> bytes:
+    """|p - q| of each block of an 8-bit raster, one byte per block.
+
+    The raster as one little-endian int, on any platform, holds block i
+    in bits 16i..16i+15 as p + 256 q, and an odd trailing pixel above
+    them all.  Each lane becomes 256 + p - q, in 1..511 so that no lane
+    borrows from the next, then |p - q|.
+    """
+    k = len(pixels) // 2
+    x = int.from_bytes(pixels, "little")
+    ones = int.from_bytes(b"\x01\x00" * k, "little")  # 1 in every lane
+    low, high = ones * 0xFF, ones << 8
+    v = (x & low) + high - ((x >> 8) & low)
+    below = ones - ((v >> 8) & ones)  # 1 in the lanes where p < q
+    # p >= q: drop the 256; p < q: (511 - v) - 256 + 1 = q - p
+    return ((v ^ (below * 0x1FF) ^ high) + below).to_bytes(2 * k, "little")[0::2]
 
 
 # --- PGM codec -------------------------------------------------------------
@@ -106,7 +130,7 @@ def _decode_pgm(data: bytes) -> GrayImage:
             raise PgmError(f"truncated pixel data: got {len(raster)} of {count} bytes")
         if data[start + count :].strip(_WHITESPACE):
             raise PgmError("trailing data after pixel raster")
-        return GrayImage(width, height, raster)
+        return GrayImage(width, height, bytes(raster))  # a bytearray's slice is one
 
     return GrayImage(width, height, bytes(_p2_raster(data, last.end(), count)))
 

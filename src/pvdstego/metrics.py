@@ -5,7 +5,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .codec import HEADER_BITS, RangeTable
-from .imagery import GrayImage
+from .imagery import BLOCK_WINDOW, GrayImage, block_differences
 
 PEAK_SQUARED = 255 * 255
 
@@ -47,12 +47,14 @@ def capacity(cover: GrayImage, table: RangeTable) -> tuple[int, int]:
     Raw capacity is the sum of t over all blocks and is identical for
     both methods; net bytes account for the length header (and are
     clamped at zero for covers too small to hold even the header).
+    Each window's block differences are translated into t and counted.
     """
-    t_of = table.t
+    t_of, distinct = bytes(table.t), set(table.t)
+    px, step = cover.pixels, 2 * BLOCK_WINDOW
     raw = 0
-    px = iter(cover.pixels)
-    for p, q in zip(px, px):
-        raw += t_of[p - q if p > q else q - p]
+    for start in range(0, len(px), step):
+        ts = block_differences(px[start : start + step]).translate(t_of)
+        raw += sum(t * ts.count(t) for t in distinct)
     return raw, max(0, (raw - HEADER_BITS) // 8)
 
 

@@ -24,22 +24,23 @@ scheme) are checked once on every pair they can meet: the adaptive one
 on [0, 255]^2, the baseline one on the wide window, where a pair more
 than 255 apart must fail in both.  Each lookup reads the pairs it can
 decode as one raster; its mismatches, the rest of the raster if it stops
-early, are ``lookup_mismatches``.  Neither check is counted in
-``total_cases``.  ``run`` sweeps each row as one task, over one worker
-process per CPU or in-process on one CPU, and merges their results with
-``_merge``.
+early, are ``lookup_mismatches``, as is a ``metrics.capacity`` of the
+[0, 255]^2 raster other than the kernels' sum of t.  Neither check is
+counted in ``total_cases``.  ``run`` sweeps each row as one task, over
+one worker process per CPU or in-process on one CPU, and merges their
+results with ``_merge``.
 """
 
 import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import product, zip_longest
+from itertools import chain, product, zip_longest
 
 from . import apvd, pvd
 from .codec import RangeTable
 from .imagery import GrayImage
-from .metrics import mse_psnr
+from .metrics import capacity, mse_psnr
 
 FAIL_LIMIT = 5  # counterexamples kept per result, merged ones too; enough to diagnose
 
@@ -144,7 +145,7 @@ def _check_pair(
 
 
 def _check_lookups(table: RangeTable, out: OracleResult) -> None:
-    """The walks' chunk-text lookups against the extraction kernels, pair by pair."""
+    """The walks' chunk-text lookups, pair by pair, and the capacity pass against the kernels."""
 
     def check(kernel, p: int, q: int, text: str | None) -> None:
         try:
@@ -157,23 +158,34 @@ def _check_lookups(table: RangeTable, out: OracleResult) -> None:
             if len(out.failures) < FAIL_LIMIT:
                 out.failures.append(f"{kernel.__name__}({p}, {q}): lookup {text}, kernel {want}")
 
-    def texts(lookup, pairs: list[tuple[int, int]]):
+    def texts(lookup, pairs: list[tuple[int, int]], raster):
         # one raster of every pair, so the lookup's pairing of pixels is checked too
         try:
-            yield from lookup([v for pair in pairs for v in pair], table)
+            yield from lookup(raster, table)
         except IndexError:  # no text for this pair or any after it
             yield from [None] * len(pairs)
 
+    every = list(product(range(256), repeat=2))
+    raster = bytes(chain.from_iterable(every))
     low, high = pvd.wide_window(table)
     wide = list(product(range(low, high + 1), repeat=2))
-    for kernel, lookup, pairs in (
-        (apvd.extract_block_value, apvd.chunk_texts, list(product(range(256), repeat=2))),
-        (pvd.extract_pair, pvd.chunk_texts, [(p, q) for p, q in wide if abs(p - q) <= 255]),
+    near = [(p, q) for p, q in wide if abs(p - q) <= 255]
+    for kernel, lookup, pairs, values in (
+        (apvd.extract_block_value, apvd.chunk_texts, every, raster),
+        (pvd.extract_pair, pvd.chunk_texts, near, list(chain.from_iterable(near))),
         # a pair more than 255 apart must fail on its own, as the kernel does
-        *((pvd.extract_pair, pvd.chunk_texts, [(p, q)]) for p, q in wide if abs(p - q) > 255),
+        *((pvd.extract_pair, pvd.chunk_texts, [(p, q)], [p, q]) for p, q in wide if abs(p - q) > 255),
     ):
-        for (p, q), text in zip(pairs, texts(lookup, pairs)):
+        for (p, q), text in zip(pairs, texts(lookup, pairs, values)):
             check(kernel, p, q, text)
+
+    # metrics.capacity reads the blocks' differences as apvd extraction does
+    raw = capacity(GrayImage(len(raster), 1, raster), table)[0]
+    want = sum(pvd.extract_pair(p, q, table)[1] for p, q in every)
+    if raw != want:
+        out.lookup_mismatches += 1
+        if len(out.failures) < FAIL_LIMIT:
+            out.failures.append(f"capacity of every pair: {raw} raw bits, kernels {want}")
 
 
 def _sweep_row(p: int, table: RangeTable) -> OracleResult:

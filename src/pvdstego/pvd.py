@@ -149,7 +149,7 @@ def chunk_texts(pixels: Iterable[int], table: RangeTable) -> Iterator[str]:
     The lookup is indexed by |d| only: extended to negative indexes it
     would wrap a difference of -256 or less instead of raising.
     """
-    texts, px = table.texts[0], iter(pixels)
+    texts, px = table.texts, iter(pixels)
     for first, second in zip(px, px):
         yield texts[first - second if first > second else second - first]
 

@@ -329,6 +329,18 @@ def test_compare_directory_of_covers(tmp_path, capsys):
     assert {line.split(",")[0] for line in lines[1:]} == {"gradient", "noise"}
 
 
+def test_compare_directory_skips_a_cover_too_small_and_exits_2(tmp_path, capsys):
+    # the 2x2 cover holds 10 bits, short of the 32-bit header; "a" sorts it first
+    (tmp_path / "a_tiny.pgm").write_bytes(save_pgm(synthetic_cover("noise", 2, 2, seed=0)))
+    (tmp_path / "noise24.pgm").write_bytes(save_pgm(synthetic_cover("noise", 24, 24, seed=0)))
+    assert main(["compare", "--cover", str(tmp_path), "--format", "csv"]) == EXIT_CAPACITY
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] == [["noise24", "pvd"], ["noise24", "apvd"]]
+    assert captured.err.startswith("capacity exceeded: a_tiny: ")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_selftest_small_table(capsys):
     widths = ",".join(["8"] * 32)  # every block hides 3 bits: cheap sweep
     assert main(["selftest", "--widths", widths]) == EXIT_OK

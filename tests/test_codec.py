@@ -116,20 +116,22 @@ def test_table_equality_and_repr():
 
 def test_chunk_texts_are_built_on_first_use():
     table = build_range_table()
-    assert "texts" not in vars(table)
-    plain, msb = table.texts
+    assert "texts" not in vars(table) and "msb_set" not in vars(table)
+    plain, msb_set = table.texts, table.msb_set
     assert (plain[0], plain[7], plain[8], plain[16], plain[255]) == (
         "000", "111", "000", "0000", "1111111")
-    assert (msb[0], msb[7], msb[16], msb[128]) == ("100", "111", "1000", "1000000")
-    assert table.texts is table.texts
+    # the flag-1 texts of differences 0, 7, 16 and 128: "100", "111", "1000", "1000000"
+    assert (msb_set[0], msb_set[7], msb_set[16], msb_set[128]) == (4, 7, 24, 192)
+    assert table.texts is table.texts and table.msb_set is table.msb_set
     for widths in TABLE_WIDTHS:
         table = build_range_table(widths)
-        plain, msb = table.texts
-        assert len(plain) == len(msb) == 256
+        plain, msb_set = table.texts, table.msb_set
+        assert len(plain) == len(msb_set) == 256
         for d in range(256):
             t, value = table.t[d], d - table.lower[d]
             assert plain[d] == format(value, f"0{t}b")
-            assert msb[d] == format(value | 1 << (t - 1), f"0{t}b")
+            assert table.lower[msb_set[d]] == table.lower[d]
+            assert plain[msb_set[d]] == format(value | 1 << (t - 1), f"0{t}b")
 
 
 def _walked_chunks(stream: bytes, diffs, widths=DEFAULT_WIDTHS) -> list[int]:

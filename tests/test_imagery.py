@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from pvdstego import imagery
 from pvdstego.codec import build_range_table
 from pvdstego.imagery import (
+    BLOCK_WINDOW,
     SYNTHETIC_KINDS,
     GrayImage,
     PgmError,
+    block_differences,
     load_pgm,
     save_pgm,
     synthetic_cover,
@@ -132,6 +134,40 @@ def test_image_invariants():
         GrayImage(2, 2, b"\x00" * 3)
     with pytest.raises(ValueError):
         GrayImage(0, 2, b"")
+
+
+@pytest.mark.parametrize("pixels", [[1, 2, 3, 4], [300, 2, 3, 4], bytearray(4), (1, 2, 3, 4)])
+def test_image_pixels_must_be_bytes(pixels):
+    # a list would pass here and fail later, in save_pgm or capacity
+    with pytest.raises(TypeError, match="pixels must be bytes"):
+        GrayImage(2, 2, pixels)
+
+
+def test_load_pgm_of_a_bytearray_holds_bytes():
+    for data in (b"P5\n2 1\n255\n\x00\xff", b"P2 2 1 255 0 255"):
+        img = load_pgm(bytearray(data))
+        assert type(img.pixels) is bytes and img.pixels == b"\x00\xff"
+
+
+_EVERY_PAIR = [(p, q) for p in range(256) for q in range(256)]
+
+
+def test_block_differences_of_every_pair():
+    raster = bytes(v for pair in _EVERY_PAIR for v in pair)  # 16 windows of blocks
+    assert block_differences(raster) == bytes(abs(p - q) for p, q in _EVERY_PAIR)
+    # an odd trailing pixel belongs to no block
+    assert block_differences(raster + b"\xff") == block_differences(raster)
+    assert block_differences(b"") == block_differences(b"\x07") == b""
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3 * BLOCK_WINDOW + 9), st.randoms(use_true_random=False), st.booleans())
+def test_block_differences_match_a_loop(blocks, rng, mutable):
+    pixels = rng.randbytes(2 * blocks)
+    if mutable:
+        pixels = bytearray(pixels)
+    want = bytes(abs(p - q) for p, q in zip(pixels[0::2], pixels[1::2]))
+    assert block_differences(pixels) == want
 
 
 def _blocks(img: GrayImage) -> list[tuple[int, int]]:

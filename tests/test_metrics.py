@@ -1,9 +1,10 @@
 import math
+import random
 
 import pytest
 
-from pvdstego.codec import build_range_table
-from pvdstego.imagery import GrayImage, synthetic_cover
+from pvdstego.codec import DEFAULT_WIDTHS, HEADER_BITS, build_range_table
+from pvdstego.imagery import BLOCK_WINDOW, GrayImage, synthetic_cover
 from pvdstego.metrics import (
     ComparisonRow,
     capacity,
@@ -57,6 +58,33 @@ def test_capacity_flat_full_frame():
 def test_capacity_clamps_tiny_covers_to_zero_net():
     tiny = GrayImage(2, 2, bytes([0, 255, 0, 255]))
     assert capacity(tiny, TABLE) == (14, 0)
+
+
+# the CI and test tables: t from 1 bit through 8 bits
+CAPACITY_WIDTHS = [DEFAULT_WIDTHS, (2, 2, 4, 8, 16, 32, 64, 128), (256,), (2,) * 128]
+
+
+@pytest.mark.parametrize("widths", CAPACITY_WIDTHS, ids=lambda w: ",".join(map(str, w[:3])))
+def test_capacity_sums_t_over_every_pair(widths):
+    table = build_range_table(widths)
+    pairs = bytes(v for p in range(256) for q in range(256) for v in (p, q))
+    raw = sum(table.t[abs(p - q)] for p in range(256) for q in range(256))
+    net = (raw - HEADER_BITS) // 8
+    assert capacity(GrayImage(len(pairs), 1, pairs), table) == (raw, net)
+    # an odd trailing pixel belongs to no block
+    assert capacity(GrayImage(len(pairs) + 1, 1, pairs + b"\xff"), table) == (raw, net)
+    assert capacity(GrayImage(1, 1, b"\xff"), table) == (0, 0)
+
+
+@pytest.mark.parametrize(
+    "length", [3, 2 * BLOCK_WINDOW - 1, 2 * BLOCK_WINDOW + 1, 6 * BLOCK_WINDOW + 5]
+)
+@pytest.mark.parametrize("widths", CAPACITY_WIDTHS, ids=lambda w: ",".join(map(str, w[:3])))
+def test_capacity_of_odd_rasters_across_windows(widths, length):
+    table = build_range_table(widths)
+    pixels = random.Random(length).randbytes(length)
+    raw = sum(table.t[abs(p - q)] for p, q in zip(pixels[0::2], pixels[1::2]))
+    assert capacity(GrayImage(length, 1, pixels), table) == (raw, max(0, (raw - HEADER_BITS) // 8))
 
 
 def test_capacity_is_pure():

@@ -40,7 +40,7 @@ from pvdstego.codec import (
     deframe_payload,
     frame_payload,
 )
-from pvdstego.imagery import GrayImage, PgmError, load_pgm, save_pgm, synthetic_cover
+from pvdstego.imagery import BLOCK_WINDOW, GrayImage, PgmError, load_pgm, save_pgm, synthetic_cover
 from pvdstego.metrics import capacity, mse_psnr
 from pvdstego.pvd import (
     clamp_raster,
@@ -184,16 +184,21 @@ def test_text_lookups_match_the_kernels_on_every_pair(table):
 @pytest.mark.parametrize("which", [0, 1])
 def test_lookup_check_counts_a_wrong_text(which):
     table = build_range_table()
-    texts = list(table.texts)
-    wrong = list(texts[which])
-    wrong[5] = "111" if wrong[5] != "111" else "000"
-    texts[which] = tuple(wrong)
-    vars(table)["texts"] = tuple(texts)  # what the cached property would hold
+    if which == 0:  # the plain text of difference 5
+        texts = list(table.texts)
+        texts[5] = "111"
+        vars(table)["texts"] = tuple(texts)  # what the cached property would hold
+        # read by the apvd pairs whose unmarked difference is 5, and with
+        # flag 1 also 1, as 1 | 4 = 5 | 4 = 5 in the first range
+        read_by = ({5}, {1, 5})
+    else:  # the flag-1 text of difference 5, through the MSB map
+        msb_set = bytearray(table.msb_set)
+        msb_set[5] = 6
+        vars(table)["msb_set"] = bytes(msb_set)
+        read_by = (set(), {5})
     out = oracle.OracleResult()
     oracle._check_lookups(table, out)
-    # apvd pairs whose unmarked difference is 5, flag 0 (which 0) or 1
-    expected = sum(
-        abs((p ^ 1) - q) == 5 for p in range(which, 256, 2) for q in range(256))
+    expected = sum(abs((p ^ 1) - q) in read_by[p & 1] for p in range(256) for q in range(256))
     if which == 0:  # and the plain pairs 5 apart inside the wide window [-64, 319]
         expected += 2 * (384 - 5)
     assert out.lookup_mismatches == expected
@@ -226,8 +231,8 @@ def test_lookup_check_counts_a_lookup_that_misreads_its_raster(monkeypatch, modu
     real = module.chunk_texts
     if defect == "shifted pairs":  # reads (q0, p1), (q1, p2), ...
 
-        def spoiled(pixels, table):
-            return real([*list(pixels)[1:], 0], table)
+        def spoiled(pixels, table):  # apvd's raster is bytes, pvd's a list
+            return real(pixels[1:] + pixels[:1], table)
 
     else:
 
@@ -353,6 +358,19 @@ def test_extraction_memory_stays_within_three_rasters():
     assert apvd_extract_image(stego, TABLE) == payload
     assert deframe_payload(pvd_extract_image(plain, TABLE)) == payload
     assert deframe_payload(pvd_extract_image(wide.stego, TABLE)) == payload
+
+
+@pytest.mark.parametrize("table", [TABLE, build_range_table((2,) * 128)], ids=["default", "1-bit"])
+def test_full_capacity_round_trip_across_extraction_windows(table):
+    cover = _mid_gray_cover("noise", 128, 128)  # 8,192 blocks, two windows; no loss in either scheme
+    _, net = capacity(cover, table)
+    payload = random.Random(1).randbytes(net)
+    report = apvd_embed_image(cover, payload, table)
+    assert report.blocks_used > BLOCK_WINDOW
+    assert apvd_extract_image(report.stego, table) == payload
+    wide = pvd_embed_image(cover, frame_payload(payload), table)
+    assert wide.violations == 0
+    assert deframe_payload(pvd_extract_image(bytes(wide.stego), table)) == payload
 
 
 # --- work in proportion to the payload -----------------------------------------
