@@ -48,7 +48,7 @@ from typing import Iterator
 
 from .codec import HEADER_BITS, CapacityError, RangeTable
 from .codec import collect_frame, deframe_payload, frame_payload
-from .imagery import BLOCK_WINDOW, GrayImage, block_differences
+from .imagery import GrayImage, block_differences, block_windows
 from .metrics import mse_psnr_of
 from .pvd import SQUARED_ERROR, adjust_pair
 
@@ -304,16 +304,15 @@ def apvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> Apv
 def chunk_texts(pixels: bytes, table: RangeTable) -> Iterator[str]:
     """The chunk text ``extract_block_value`` gives each marked pair, by lookup.
 
-    A window of BLOCK_WINDOW blocks at a time, as the texts are read: one
+    A window of ``block_windows`` at a time, as the texts are read: one
     translate undoes the mark as ``extract_block_value`` does,
     ``block_differences`` gives each d, and a byte mask of the flags picks
     the text of ``table.msb_set[d]`` for the blocks whose flag is set.
     """
-    texts, msb_set, step = table.texts, table.msb_set, 2 * BLOCK_WINDOW
+    texts, msb_set = table.texts, table.msb_set
 
     def keys():
-        for start in range(0, len(pixels), step):
-            window = pixels[start : start + step]
+        for window in block_windows(pixels):
             firsts, unmarked = window[0::2], bytearray(window)
             unmarked[0::2] = firsts.translate(_UNMARK)
             d = block_differences(unmarked)

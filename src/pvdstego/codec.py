@@ -18,8 +18,8 @@ DEFAULT_WIDTHS = (8, 8, 16, 32, 64, 128)
 
 HEADER_BITS = 32
 
-# blocks whose chunk texts collect_frame joins and converts at once
-_WINDOW = 4096
+# blocks per window: the texts collect_frame joins at once, and imagery.block_windows' cap
+BLOCK_WINDOW = 4096
 
 
 class CapacityError(ValueError):
@@ -96,7 +96,7 @@ def collect_frame(texts: Iterable[str]) -> bytes:
     """Pack chunk texts (at most 8 binary digits each) until the framed stream is complete.
 
     Reads the header's blocks, then the declared payload's, joining and
-    converting up to _WINDOW texts at a time.  A window of at most
+    converting up to BLOCK_WINDOW texts at a time.  A window of at most
     ceil(bits still missing / 8) texts cannot pass the block that
     completes the stream, so no block after it is read.  Returns the
     bytes that hold the header and the declared bits, the last one
@@ -108,7 +108,7 @@ def collect_frame(texts: Iterable[str]) -> bytes:
     target = HEADER_BITS
     declared = None
     while got < target:
-        window = "".join(islice(texts, min(_WINDOW, (target - got + 7) // 8)))
+        window = "".join(islice(texts, min(BLOCK_WINDOW, (target - got + 7) // 8)))
         if not window:
             raise TruncatedPayload(
                 f"stego image ran out of blocks after {got} bits "

@@ -11,6 +11,9 @@ end); an odd trailing pixel belongs to no block and is never modified.
 import random
 import re
 from dataclasses import dataclass
+from typing import Iterator
+
+from .codec import BLOCK_WINDOW
 
 
 class PgmError(ValueError):
@@ -36,7 +39,18 @@ class GrayImage:
             )
 
 
-BLOCK_WINDOW = 4096  # blocks per block_differences call in metrics.capacity and apvd extraction
+def block_windows(pixels: bytes) -> Iterator[bytes]:
+    """Slices of whole blocks of ``pixels``, for ``block_differences`` one at a time.
+
+    The first holds 256 blocks and each next one twice as many, up to
+    BLOCK_WINDOW, so a reader that stops after a short payload has
+    differenced few blocks past it.  An odd trailing pixel ends the last.
+    """
+    start, size = 0, 2 * 256
+    while start < len(pixels):
+        yield pixels[start : start + size]
+        start += size
+        size = min(2 * size, 2 * BLOCK_WINDOW)
 
 
 def block_differences(pixels: bytes) -> bytes:

@@ -5,7 +5,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 from .codec import HEADER_BITS, RangeTable
-from .imagery import BLOCK_WINDOW, GrayImage, block_differences
+from .imagery import GrayImage, block_differences, block_windows
 
 PEAK_SQUARED = 255 * 255
 
@@ -50,10 +50,9 @@ def capacity(cover: GrayImage, table: RangeTable) -> tuple[int, int]:
     Each window's block differences are translated into t and counted.
     """
     t_of, distinct = bytes(table.t), set(table.t)
-    px, step = cover.pixels, 2 * BLOCK_WINDOW
     raw = 0
-    for start in range(0, len(px), step):
-        ts = block_differences(px[start : start + step]).translate(t_of)
+    for window in block_windows(cover.pixels):
+        ts = block_differences(window).translate(t_of)
         raw += sum(t * ts.count(t) for t in distinct)
     return raw, max(0, (raw - HEADER_BITS) // 8)
 

@@ -20,12 +20,10 @@ kernels' arithmetic) run once over a cover holding those cases in sweep
 order, and every field of their results is checked against the kernels,
 the cover and ``metrics.mse_psnr``.  What differs is ``walk_mismatches``.
 After the sweep, the walks' extraction lookups (``chunk_texts`` in each
-scheme) are checked once on every pair they can meet: the adaptive one
-on [0, 255]^2, the baseline one on the wide window, where a pair more
-than 255 apart must fail in both.  Each lookup reads the pairs it can
-decode as one raster; its mismatches, the rest of the raster if it stops
-early, are ``lookup_mismatches``, as is a ``metrics.capacity`` of the
-[0, 255]^2 raster other than the kernels' sum of t.  Neither check is
+scheme) are checked once on every pair they can meet, [0, 255]^2, as
+one 8-bit raster; its mismatches, the rest of the raster if a lookup
+raises part way, are ``lookup_mismatches``, as is a ``metrics.capacity``
+of that raster other than the kernels' sum of t.  Neither check is
 counted in ``total_cases``.  ``run`` sweeps each row as one task, over
 one worker process per CPU or in-process on one CPU, and merges their
 results with ``_merge``.
@@ -148,35 +146,27 @@ def _check_lookups(table: RangeTable, out: OracleResult) -> None:
     """The walks' chunk-text lookups, pair by pair, and the capacity pass against the kernels."""
 
     def check(kernel, p: int, q: int, text: str | None) -> None:
-        try:
-            value, t = kernel(p, q, table)
-            want = format(value, f"0{t}b")
-        except IndexError:  # a difference past the end of the table's lookups
-            want = None
+        value, t = kernel(p, q, table)
+        want = format(value, f"0{t}b")
         if text != want:
             out.lookup_mismatches += 1
             if len(out.failures) < FAIL_LIMIT:
                 out.failures.append(f"{kernel.__name__}({p}, {q}): lookup {text}, kernel {want}")
 
-    def texts(lookup, pairs: list[tuple[int, int]], raster):
+    def texts(lookup):
         # one raster of every pair, so the lookup's pairing of pixels is checked too
         try:
             yield from lookup(raster, table)
-        except IndexError:  # no text for this pair or any after it
-            yield from [None] * len(pairs)
+        except Exception as exc:  # a defect of any kind: no text for this pair or any after it
+            if len(out.failures) < FAIL_LIMIT:
+                out.failures.append(f"{lookup.__module__}.{lookup.__name__} raised {exc!r}")
+            yield from [None] * len(every)
 
     every = list(product(range(256), repeat=2))
     raster = bytes(chain.from_iterable(every))
-    low, high = pvd.wide_window(table)
-    wide = list(product(range(low, high + 1), repeat=2))
-    near = [(p, q) for p, q in wide if abs(p - q) <= 255]
-    for kernel, lookup, pairs, values in (
-        (apvd.extract_block_value, apvd.chunk_texts, every, raster),
-        (pvd.extract_pair, pvd.chunk_texts, near, list(chain.from_iterable(near))),
-        # a pair more than 255 apart must fail on its own, as the kernel does
-        *((pvd.extract_pair, pvd.chunk_texts, [(p, q)], [p, q]) for p, q in wide if abs(p - q) > 255),
-    ):
-        for (p, q), text in zip(pairs, texts(lookup, pairs, values)):
+    lookups = {apvd.extract_block_value: apvd.chunk_texts, pvd.extract_pair: pvd.chunk_texts}
+    for kernel, lookup in lookups.items():
+        for (p, q), text in zip(every, texts(lookup)):
             check(kernel, p, q, text)
 
     # metrics.capacity reads the blocks' differences as apvd extraction does

@@ -12,18 +12,20 @@ and surfaced, never silently repaired; the adaptive variant in
 ``embed_pair`` and ``extract_pair`` are the block kernels, which the
 selftest checks case by case.  The image walks do not call them per
 block: ``pvd_embed_image`` is one loop with the kernel's arithmetic
-inlined, cutting each chunk from the stream as it goes, and extraction
-looks each block's chunk text up in the table's ``texts``
-(``chunk_texts``) for ``codec.collect_frame`` to pack.  The selftest
-also runs ``pvd_embed_image`` over every case and the lookup over every
-pair of the wide window, and compares them with the kernels.
+inlined, and returns the wide raster.  Extraction reads the stored 8-bit
+raster, the wide one clamped, as Wu and Tsai define it: ``chunk_texts``
+looks each block's text up by its ``imagery.block_differences`` for
+``codec.collect_frame`` to pack.  The selftest also runs
+``pvd_embed_image`` over every case and the lookup over every pair of
+[0, 255]^2, and compares them with the kernels.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from itertools import chain
+from typing import Iterable, Iterator
 
-from .codec import CapacityError, PayloadError, RangeTable, collect_frame
-from .imagery import GrayImage
+from .codec import CapacityError, RangeTable, collect_frame
+from .imagery import GrayImage, block_differences, block_windows
 from .metrics import mse_psnr_of
 
 
@@ -142,30 +144,20 @@ def pvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> PvdR
     return PvdResult(stego, violations, needed, walked // 2, mse, psnr_db)
 
 
-def chunk_texts(pixels: Iterable[int], table: RangeTable) -> Iterator[str]:
-    """The chunk text ``extract_pair`` gives each pair, by lookup; IndexError past 255 apart.
-
-    The pairs come from one iterator read twice, which copies no raster.
-    The lookup is indexed by |d| only: extended to negative indexes it
-    would wrap a difference of -256 or less instead of raising.
-    """
-    texts, px = table.texts, iter(pixels)
-    for first, second in zip(px, px):
-        yield texts[first - second if first > second else second - first]
+def chunk_texts(pixels: bytes, table: RangeTable) -> Iterator[str]:
+    """``extract_pair``'s chunk text of each block, looked up a window of blocks at a time."""
+    texts = table.texts.__getitem__
+    return chain.from_iterable(map(texts, block_differences(w)) for w in block_windows(pixels))
 
 
-def pvd_extract_image(stego: Sequence[int], table: RangeTable) -> bytes:
-    """Read a (possibly wide) raster until its framed stream is complete.
+def pvd_extract_image(stego: bytes, table: RangeTable) -> bytes:
+    """Read an 8-bit raster until its framed stream is complete.
 
     Returns the bytes holding the header and the declared payload bits,
-    for codec.deframe_payload.  A pair further apart than 255, which no
-    embed produces, raises PayloadError.  No raster is copied, whether
-    ``stego`` is a list or bytes.
+    for codec.deframe_payload.  A value outside [0, 255], which no raster
+    of a stego image holds, raises ValueError.
     """
-    try:
-        return collect_frame(chunk_texts(stego, table))
-    except IndexError:  # a difference past the end of the table's lookups
-        raise PayloadError("pixel pair differs by more than 255") from None
+    return collect_frame(chunk_texts(stego, table))
 
 
 def clamp_raster(stego: Iterable[int]) -> bytes:

@@ -22,6 +22,7 @@ from pvdstego.metrics import capacity, mse_psnr
 from pvdstego.pvd import pvd_embed_image
 
 TABLE = build_range_table()
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 @pytest.fixture
@@ -84,6 +85,22 @@ def test_embed_pvd_warns_and_clamps(tmp_path, capsys):
     assert sidecar["method"] == "pvd"
     assert sidecar["violations"] >= 1
     assert sidecar["clamped"] is True
+
+
+@pytest.mark.parametrize(
+    "name,method,kind,wrong_bytes",
+    [("pvd-noise-32", "pvd", "noise", 72), ("apvd-checkerboard-32", "apvd", "checkerboard", 2)],
+)
+def test_recorded_stego_images_extract_as_recorded(tmp_path, name, method, kind, wrong_bytes):
+    # fixtures/README.md says how each image and the bytes extract wrote from it were made
+    out = tmp_path / "recovered.bin"
+    stego = FIXTURES / f"{name}.pgm"
+    assert main(["extract", "--method", method, "--cover", str(stego), "--out", str(out)]) == EXIT_OK
+    recovered = out.read_bytes()
+    assert recovered == (FIXTURES / f"{name}.out").read_bytes()
+    # wrong where the image lost data: pvd's clamped pixels, apvd's lossy corners
+    payload = random.Random(0).randbytes(capacity(synthetic_cover(kind, 32, 32, 0), TABLE)[1])
+    assert sum(a != b for a, b in zip(recovered, payload, strict=True)) == wrong_bytes
 
 
 def test_embed_pvd_round_trip_without_violations(tmp_path, monkeypatch, capsys):

@@ -296,14 +296,14 @@ _FRAME_8 = format(8, "032b") + "10100101"
 
 
 @settings(max_examples=300)
-@given(_cut_frames(), st.integers(1, 5) | st.just(codec._WINDOW))
+@given(_cut_frames(), st.integers(1, 5) | st.just(codec.BLOCK_WINDOW))
 @example(_texts(_FRAME_8, 3), 1)  # cuts mid-byte, inside the header and past the target
 @example(_texts(_FRAME_8 + "1" * 16, 8), 2)  # cuts exactly at the header's end and the target
 @example(_texts(_FRAME_8[:-1], 1), 3)  # one bit short
 @example(_texts("0" * 30, 5), 1)  # inside the header
 def test_windowed_collector_matches_one_shot_join(texts, window):
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(codec, "_WINDOW", window)
+        patch.setattr(codec, "BLOCK_WINDOW", window)
         rest = iter(texts)
         try:
             got = collect_frame(rest), len(texts) - len(list(rest))

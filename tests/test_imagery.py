@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvdstego import imagery
-from pvdstego.codec import build_range_table
+from pvdstego.codec import BLOCK_WINDOW, build_range_table
 from pvdstego.imagery import (
-    BLOCK_WINDOW,
     SYNTHETIC_KINDS,
     GrayImage,
     PgmError,
     block_differences,
+    block_windows,
     load_pgm,
     save_pgm,
     synthetic_cover,
@@ -168,6 +168,25 @@ def test_block_differences_match_a_loop(blocks, rng, mutable):
         pixels = bytearray(pixels)
     want = bytes(abs(p - q) for p, q in zip(pixels[0::2], pixels[1::2]))
     assert block_differences(pixels) == want
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        [],
+        [1],
+        [511],
+        [512],
+        [512, 1],
+        [512, 1024, 2048, 4096],  # 256 blocks, then twice as many each time
+        [512, 1024, 2048, 4096, 2 * BLOCK_WINDOW, 2 * BLOCK_WINDOW, 1],
+    ],
+)
+def test_block_windows_start_short_and_double_to_the_cap(sizes):
+    pixels = random.Random(len(sizes)).randbytes(sum(sizes))
+    windows = list(block_windows(pixels))
+    assert [len(w) for w in windows] == sizes
+    assert b"".join(windows) == pixels
 
 
 def _blocks(img: GrayImage) -> list[tuple[int, int]]:

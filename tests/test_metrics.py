@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from pvdstego.codec import DEFAULT_WIDTHS, HEADER_BITS, build_range_table
-from pvdstego.imagery import BLOCK_WINDOW, GrayImage, synthetic_cover
+from pvdstego.codec import BLOCK_WINDOW, DEFAULT_WIDTHS, HEADER_BITS, build_range_table
+from pvdstego.imagery import GrayImage, synthetic_cover
 from pvdstego.metrics import (
     ComparisonRow,
     capacity,
@@ -77,7 +77,7 @@ def test_capacity_sums_t_over_every_pair(widths):
 
 
 @pytest.mark.parametrize(
-    "length", [3, 2 * BLOCK_WINDOW - 1, 2 * BLOCK_WINDOW + 1, 6 * BLOCK_WINDOW + 5]
+    "length", [3, 2 * BLOCK_WINDOW - 1, 2 * BLOCK_WINDOW + 1, 6 * BLOCK_WINDOW + 5, 511, 7681]
 )
 @pytest.mark.parametrize("widths", CAPACITY_WIDTHS, ids=lambda w: ",".join(map(str, w[:3])))
 def test_capacity_of_odd_rasters_across_windows(widths, length):

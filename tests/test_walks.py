@@ -32,6 +32,7 @@ from pvdstego.apvd import (
     mark_with_case,
 )
 from pvdstego.codec import (
+    BLOCK_WINDOW,
     HEADER_BITS,
     CapacityError,
     PayloadError,
@@ -40,7 +41,7 @@ from pvdstego.codec import (
     deframe_payload,
     frame_payload,
 )
-from pvdstego.imagery import BLOCK_WINDOW, GrayImage, PgmError, load_pgm, save_pgm, synthetic_cover
+from pvdstego.imagery import GrayImage, PgmError, load_pgm, save_pgm, synthetic_cover
 from pvdstego.metrics import capacity, mse_psnr
 from pvdstego.pvd import (
     clamp_raster,
@@ -147,8 +148,12 @@ def test_walks_match_block_by_block_kernels(seed, width, height):
     assert result.violations == sum(violations) == sum(1 for v in wide if not 0 <= v <= 255)
     assert result.bits_embedded == bits
     assert result.blocks_used == len(violations)
-    reference = _reference_extract(result.stego, table, extract_pair)
-    assert pvd_extract_image(result.stego, table) == reference
+    # the wide raster round-trips through the kernel; extraction reads the
+    # 8-bit raster a stego image holds, clamped where values left [0, 255]
+    assert _reference_extract(result.stego, table, extract_pair) == framed
+    clamped = clamp_raster(result.stego)
+    got = _outcome(lambda: deframe_payload(pvd_extract_image(clamped, table)))
+    assert got == _outcome(lambda: deframe_payload(_reference_extract(clamped, table, extract_pair)))
 
 
 @pytest.mark.parametrize("widths", [(256,), (128, 128)])
@@ -199,8 +204,8 @@ def test_lookup_check_counts_a_wrong_text(which):
     out = oracle.OracleResult()
     oracle._check_lookups(table, out)
     expected = sum(abs((p ^ 1) - q) in read_by[p & 1] for p in range(256) for q in range(256))
-    if which == 0:  # and the plain pairs 5 apart inside the wide window [-64, 319]
-        expected += 2 * (384 - 5)
+    if which == 0:  # and the pvd pairs 5 apart
+        expected += 2 * (256 - 5)
     assert out.lookup_mismatches == expected
     assert len(out.failures) == oracle.FAIL_LIMIT
 
@@ -231,7 +236,7 @@ def test_lookup_check_counts_a_lookup_that_misreads_its_raster(monkeypatch, modu
     real = module.chunk_texts
     if defect == "shifted pairs":  # reads (q0, p1), (q1, p2), ...
 
-        def spoiled(pixels, table):  # apvd's raster is bytes, pvd's a list
+        def spoiled(pixels, table):
             return real(pixels[1:] + pixels[:1], table)
 
     else:
@@ -246,9 +251,9 @@ def test_lookup_check_counts_a_lookup_that_misreads_its_raster(monkeypatch, modu
     oracle._check_lookups(table, out)
     if defect == "shifted pairs":
         assert out.lookup_mismatches > 0
-    else:  # no text for any pair after the tenth; the wide window is [-1, 256]
-        decodable = 256 * 256 if module is apvd else 258 * 258 - 6
-        assert out.lookup_mismatches == decodable - 10
+    else:  # no text for any pair after the tenth, and the failures say why
+        assert out.lookup_mismatches == 256 * 256 - 10
+        assert out.failures[0] == f"{__name__}.spoiled raised IndexError('spoiled')"
     assert len(out.failures) == oracle.FAIL_LIMIT
 
 
@@ -354,10 +359,8 @@ def test_extraction_memory_stays_within_three_rasters():
     size = len(cover.pixels)
     assert _traced_peak(lambda: apvd_extract_image(stego, TABLE)) < 3 * size
     assert _traced_peak(lambda: pvd_extract_image(plain, TABLE)) < 3 * size
-    assert _traced_peak(lambda: pvd_extract_image(wide.stego, TABLE)) < 3 * size  # a list raster
     assert apvd_extract_image(stego, TABLE) == payload
     assert deframe_payload(pvd_extract_image(plain, TABLE)) == payload
-    assert deframe_payload(pvd_extract_image(wide.stego, TABLE)) == payload
 
 
 @pytest.mark.parametrize("table", [TABLE, build_range_table((2,) * 128)], ids=["default", "1-bit"])
@@ -416,7 +419,7 @@ def test_stream_of_min_t_bits_per_block_skips_the_capacity_pass(
     result = pvd_embed_image(cover, framed, table)
     assert result.bits_embedded == bits
     assert result.stego[2 * result.blocks_used :] == list(cover.pixels[2 * result.blocks_used :])
-    assert deframe_payload(pvd_extract_image(result.stego, table)) == payload
+    assert deframe_payload(pvd_extract_image(bytes(result.stego), table)) == payload
     report = apvd_embed_image(cover, payload, table)
     assert report.bits_embedded == bits
     assert apvd_extract_image(report.stego, table) == payload
