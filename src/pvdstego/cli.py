@@ -8,6 +8,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import asdict
 from itertools import islice
 from pathlib import Path
@@ -193,22 +194,18 @@ def cmd_capacity(args) -> int:
     return EXIT_OK
 
 
-def _compare_covers(args) -> list[tuple[str, GrayImage]]:
+def _compare_covers(args) -> Iterator[tuple[str, GrayImage]]:
+    """Each cover's name and image, one at a time; bad arguments raise before the first."""
     if not args.cover:
         size = args.size
         if not 1 <= size <= MAX_COMPARE_SIZE:
             raise _UsageError(f"--size must be between 1 and {MAX_COMPARE_SIZE}, got {size}")
-        return [
-            (kind, synthetic_cover(kind, size, size, seed=args.seed))
-            for kind in SYNTHETIC_KINDS
-        ]
+        return ((kind, synthetic_cover(kind, size, size, seed=args.seed)) for kind in SYNTHETIC_KINDS)
     path = Path(args.cover)
-    if path.is_dir():
-        files = sorted(path.glob("*.pgm"))
-        if not files:
-            raise PgmError(f"no .pgm files in {path}")
-        return [(f.stem, _load_cover(f)) for f in files]
-    return [(path.stem, _load_cover(path))]
+    files = sorted(path.glob("*.pgm")) if path.is_dir() else [path]
+    if not files:
+        raise PgmError(f"no .pgm files in {path}")
+    return ((f.stem, _load_cover(f)) for f in files)
 
 
 def cmd_compare(args) -> int:
@@ -256,6 +253,7 @@ def cmd_selftest(args) -> int:
     print("branches:")
     for branch, count in result.branch_counts.items():
         print(f"  {branch}: {count}")
+    print(f"workers: {result.workers}")
     print(f"elapsed: {result.elapsed_seconds:.1f}s")
     if result.failures:
         print(f"FAILED with {len(result.failures)} counterexample(s), first:", file=sys.stderr)

@@ -25,13 +25,13 @@ one 8-bit raster; its mismatches, the rest of the raster if a lookup
 raises part way, are ``lookup_mismatches``, as is a ``metrics.capacity``
 of that raster other than the kernels' sum of t.  Neither check is
 counted in ``total_cases``.  ``run`` sweeps each row as one task, over
-one worker process per CPU or in-process on one CPU, and merges their
-results with ``_merge``.
+one worker process per CPU the process may run on, or in-process on one
+CPU, and adds the rows' results up: ``OracleResult`` supports ``+``.
 """
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from itertools import chain, product, zip_longest
 
@@ -40,12 +40,12 @@ from .codec import RangeTable
 from .imagery import GrayImage
 from .metrics import capacity, mse_psnr
 
-FAIL_LIMIT = 5  # counterexamples kept per result, merged ones too; enough to diagnose
+FAIL_LIMIT = 5  # counterexamples kept per result, summed ones too; enough to diagnose
 
 
 @dataclass
 class OracleResult:
-    """Sweep counters; each row fills one and ``_merge`` sums them."""
+    """Sweep counters; each row fills one and ``run`` adds them up with ``+``."""
 
     total_cases: int = 0
     failures: list[str] = field(default_factory=list)
@@ -57,14 +57,32 @@ class OracleResult:
     baseline_in_range_cases: int = 0
     lookup_mismatches: int = 0
     walk_mismatches: int = 0
+    workers: int = 0
     elapsed_seconds: float = 0.0
+
+    def fail(self, message: str) -> None:
+        """Keep ``message`` as a counterexample, unless ``FAIL_LIMIT`` are kept already."""
+        if len(self.failures) < FAIL_LIMIT:
+            self.failures.append(message)
+
+    def __add__(self, other: "OracleResult") -> "OracleResult":
+        """Numbers add, lists join, counts add by key in first-seen order; keeps FAIL_LIMIT failures."""
+        total = {}
+        for name in (f.name for f in fields(self)):
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if isinstance(mine, dict):
+                total[name] = {k: mine.get(k, 0) + theirs.get(k, 0) for k in {**mine, **theirs}}
+            else:
+                total[name] = mine + theirs
+        result = OracleResult(**total)
+        del result.failures[FAIL_LIMIT:]
+        return result
 
 
 def _check_pair(
     p: int,
     q: int,
     table: RangeTable,
-    window: tuple[int, int],
     out: OracleResult,
     base: list[int],
     marked: list[int],
@@ -74,14 +92,12 @@ def _check_pair(
     t = table.t[d]
     lower = table.lower[d]
     half = 1 << (t - 1)
-    wide_min, wide_max = window
-    failures = out.failures
+    wide_min, wide_max = pvd.wide_window(table)
     branches = out.branch_counts
     marks = out.mark_case_counts
 
     def fail(chunk, message):
-        if len(failures) < FAIL_LIMIT:
-            failures.append(f"(p={p}, q={q}, chunk={chunk:0{t}b}): {message}")
+        out.fail(f"(p={p}, q={q}, chunk={chunk:0{t}b}): {message}")
 
     for chunk in range(1 << t):
         out.total_cases += 1
@@ -145,21 +161,12 @@ def _check_pair(
 def _check_lookups(table: RangeTable, out: OracleResult) -> None:
     """The walks' chunk-text lookups, pair by pair, and the capacity pass against the kernels."""
 
-    def check(kernel, p: int, q: int, text: str | None) -> None:
-        value, t = kernel(p, q, table)
-        want = format(value, f"0{t}b")
-        if text != want:
-            out.lookup_mismatches += 1
-            if len(out.failures) < FAIL_LIMIT:
-                out.failures.append(f"{kernel.__name__}({p}, {q}): lookup {text}, kernel {want}")
-
     def texts(lookup):
         # one raster of every pair, so the lookup's pairing of pixels is checked too
         try:
             yield from lookup(raster, table)
         except Exception as exc:  # a defect of any kind: no text for this pair or any after it
-            if len(out.failures) < FAIL_LIMIT:
-                out.failures.append(f"{lookup.__module__}.{lookup.__name__} raised {exc!r}")
+            out.fail(f"{lookup.__module__}.{lookup.__name__} raised {exc!r}")
             yield from [None] * len(every)
 
     every = list(product(range(256), repeat=2))
@@ -167,15 +174,18 @@ def _check_lookups(table: RangeTable, out: OracleResult) -> None:
     lookups = {apvd.extract_block_value: apvd.chunk_texts, pvd.extract_pair: pvd.chunk_texts}
     for kernel, lookup in lookups.items():
         for (p, q), text in zip(every, texts(lookup)):
-            check(kernel, p, q, text)
+            value, t = kernel(p, q, table)
+            want = format(value, f"0{t}b")
+            if text != want:
+                out.lookup_mismatches += 1
+                out.fail(f"{kernel.__name__}({p}, {q}): lookup {text}, kernel {want}")
 
     # metrics.capacity reads the blocks' differences as apvd extraction does
     raw = capacity(GrayImage(len(raster), 1, raster), table)[0]
     want = sum(pvd.extract_pair(p, q, table)[1] for p, q in every)
     if raw != want:
         out.lookup_mismatches += 1
-        if len(out.failures) < FAIL_LIMIT:
-            out.failures.append(f"capacity of every pair: {raw} raw bits, kernels {want}")
+        out.fail(f"capacity of every pair: {raw} raw bits, kernels {want}")
 
 
 def _sweep_row(p: int, table: RangeTable) -> OracleResult:
@@ -192,9 +202,8 @@ def _sweep_row(p: int, table: RangeTable) -> OracleResult:
     out = OracleResult()
     base: list[int] = []
     marked: list[int] = []
-    window = pvd.wide_window(table)
     for q in range(256):
-        _check_pair(p, q, table, window, out, base, marked)
+        _check_pair(p, q, table, out, base, marked)
 
     ts = [table.t[abs(p - q)] for q in range(256)]
     chunks = {t: "".join(format(v, f"0{t}b") for v in range(1 << t)) for t in set(ts)}
@@ -209,8 +218,7 @@ def _sweep_row(p: int, table: RangeTable) -> OracleResult:
         report = apvd.embed_walk(image, stream, table)
     except ValueError as exc:  # CapacityError, or a value the stego bytearray refuses
         out.walk_mismatches += 1
-        if len(out.failures) < FAIL_LIMIT:
-            out.failures.append(f"row p={p}: an embed walk raised {exc!r}")
+        out.fail(f"row p={p}: an embed walk raised {exc!r}")
         return out
 
     fillers = -(-fill // table.t[0])
@@ -240,35 +248,20 @@ def _sweep_row(p: int, table: RangeTable) -> OracleResult:
         if got != want:
             bad = sum(g != w for g, w in zip_longest(got, want))
             out.walk_mismatches += bad
-            if len(out.failures) < FAIL_LIMIT:
-                out.failures.append(f"row p={p}: {bad} {what} item(s) differ from the kernels")
+            out.fail(f"row p={p}: {bad} {what} item(s) differ from the kernels")
     return out
 
 
-def _merge(parts: list[OracleResult]) -> OracleResult:
-    merged = OracleResult()
-    for part in parts:
-        merged.total_cases += part.total_cases
-        merged.failures += part.failures
-        merged.lossy_corner_cases += part.lossy_corner_cases
-        merged.baseline_in_range_cases += part.baseline_in_range_cases
-        merged.walk_mismatches += part.walk_mismatches
-        for k, v in part.branch_counts.items():
-            merged.branch_counts[k] = merged.branch_counts.get(k, 0) + v
-        for k, v in part.mark_case_counts.items():
-            merged.mark_case_counts[k] = merged.mark_case_counts.get(k, 0) + v
-    del merged.failures[FAIL_LIMIT:]
-    return merged
-
-
 def run(table: RangeTable) -> OracleResult:
-    """Run the full sweep, one row per task, over one worker process per CPU.
+    """Run the full sweep, one row per task, over one worker process per CPU it may use.
 
     The pool never has more workers than rows; with one CPU, or an
     unknown count, the rows are swept in-process.
     """
     started = time.perf_counter()
-    workers = min(os.cpu_count() or 1, 256)
+    # a process limited to some of the machine's CPUs gets no more workers than those
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(cpus, 256)
     sweep = partial(_sweep_row, table=table)
     if workers == 1:
         parts = list(map(sweep, range(256)))
@@ -278,9 +271,9 @@ def run(table: RangeTable) -> OracleResult:
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(sweep, range(256)))
-    result = _merge(parts)
+    result = sum(parts, OracleResult())
     _check_lookups(table, result)
-    result.lossy_corner_cases.sort()
     result.lossy_corner_count = len(result.lossy_corner_cases)
+    result.workers = workers
     result.elapsed_seconds = time.perf_counter() - started
     return result

@@ -346,6 +346,28 @@ def test_compare_directory_of_covers(tmp_path, capsys):
     assert {line.split(",")[0] for line in lines[1:]} == {"gradient", "noise"}
 
 
+def test_compare_holds_one_cover_at_a_time(tmp_path, monkeypatch, capsys):
+    for kind in ("gradient", "noise"):
+        (tmp_path / f"{kind}.pgm").write_bytes(save_pgm(synthetic_cover(kind, 16, 16, seed=4)))
+    calls = []
+    real_load, real_capacity = cli._load_cover, metrics.capacity
+
+    def load(path):
+        calls.append(("load", Path(path).stem))
+        return real_load(path)
+
+    def counted(cover, table):
+        calls.append(("capacity", cover.pixels))
+        return real_capacity(cover, table)
+
+    monkeypatch.setattr(cli, "_load_cover", load)
+    monkeypatch.setattr(metrics, "capacity", counted)
+    assert main(["compare", "--cover", str(tmp_path), "--format", "csv"]) == EXIT_OK
+    gradient, noise = (real_load(tmp_path / f"{kind}.pgm").pixels for kind in ("gradient", "noise"))
+    assert calls == [("load", "gradient"), ("capacity", gradient), ("load", "noise"), ("capacity", noise)]
+    capsys.readouterr()
+
+
 def test_compare_directory_skips_a_cover_too_small_and_exits_2(tmp_path, capsys):
     # the 2x2 cover holds 10 bits, short of the 32-bit header; "a" sorts it first
     (tmp_path / "a_tiny.pgm").write_bytes(save_pgm(synthetic_cover("noise", 2, 2, seed=0)))
@@ -377,7 +399,7 @@ def test_selftest_fails_when_a_walk_disagrees_with_the_kernels(monkeypatch, caps
 
     monkeypatch.setattr(pvd, "pvd_embed_image", off_by_one)
     # in-process: a pool worker sees the patch only under the fork start method
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0})
     widths = ",".join(["8"] * 32)
     assert main(["selftest", "--widths", widths]) == cli.EXIT_SELFTEST
     captured = capsys.readouterr()
@@ -407,17 +429,18 @@ def test_compare_runs_one_capacity_pass_per_cover(tmp_path, monkeypatch, capsys,
 
 def test_selftest_parallel_matches_serial(monkeypatch, capsys):
     widths = ",".join(["8"] * 32)
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0})
     assert main(["selftest", "--widths", widths]) == EXIT_OK
     serial = capsys.readouterr().out
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {0, 1})
     assert main(["selftest", "--widths", widths]) == EXIT_OK
     parallel = capsys.readouterr().out
+    assert "workers: 1" in serial and "workers: 2" in parallel
 
     def counts(text):
         return sorted(
             line.strip() for line in text.splitlines()
-            if ":" in line and "elapsed" not in line
+            if ":" in line and "elapsed" not in line and "workers" not in line
         )
 
     assert counts(serial) == counts(parallel)
@@ -500,18 +523,25 @@ def test_selftest_workers_bounded_by_cpus_and_rows(monkeypatch, capsys):
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 3)
+    # the CPUs the process may run on, not the machine's count
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: {1, 4, 6})
     widths = ",".join(["2"] * 128)
     assert main(["selftest", "--widths", widths]) == EXIT_OK
-    assert "cases checked: 131072" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "cases checked: 131072" in out and "workers: 3" in out
     assert started == [3]
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: 1000)
+    monkeypatch.setattr(oracle.os, "sched_getaffinity", lambda pid: set(range(1000)))
     assert main(["selftest", "--widths", widths]) == EXIT_OK
     assert started == [3, 256]  # one row per first-pixel value, one worker per row at most
+    # a platform without affinity falls back to the machine's count
+    monkeypatch.delattr(oracle.os, "sched_getaffinity")
+    assert main(["selftest", "--widths", widths]) == EXIT_OK
+    assert started == [3, 256, 8]
     monkeypatch.setattr(oracle.os, "cpu_count", lambda: None)
     assert main(["selftest", "--widths", widths]) == EXIT_OK
-    assert started == [3, 256]  # unknown CPU count: one worker, in-process
-    capsys.readouterr()
+    assert started == [3, 256, 8]  # unknown CPU count: one worker, in-process
+    assert "workers: 1" in capsys.readouterr().out
 
 
 def test_selftest_refuses_a_jobs_option(capsys):

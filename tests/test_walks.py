@@ -173,9 +173,9 @@ def test_oracle_passes_the_single_bit_table():
     assert result.total_cases == expected == 256 * 256 * 2
     assert sum(result.branch_counts.values()) == result.total_cases
     # as on the default table: a pair in the last range, spread about the
-    # middle, with an all-ones chunk
+    # middle, with an all-ones chunk; in sweep order, which is sorted order
     expected_corner = {((255 - d) >> 1, ((255 - d) >> 1) + d, 1) for d in (254, 255)}
-    assert set(result.lossy_corner_cases) == expected_corner
+    assert result.lossy_corner_cases == sorted(expected_corner)
     assert result.lossy_corner_count == 2
 
 
@@ -272,8 +272,35 @@ def test_walk_check_covers_the_zero_fill_of_a_row():
 
 
 def _sweep_rows(table, rows):
-    """The oracle's sweep of ``rows`` alone, in-process, merged as ``run`` merges."""
-    return oracle._merge([oracle._sweep_row(p, table) for p in rows])
+    """The oracle's sweep of ``rows`` alone, in-process, summed as ``run`` sums."""
+    return sum((oracle._sweep_row(p, table) for p in rows), oracle.OracleResult())
+
+
+def test_oracle_results_add_up_field_by_field():
+    row = oracle._sweep_row(0, build_range_table((2,) * 128))  # holds a lossy corner
+    assert row.lossy_corner_cases and row.mark_case_counts
+    assert oracle.OracleResult() + row == row == row + oracle.OracleResult()
+
+    a = oracle.OracleResult(total_cases=1, walk_mismatches=2, lossy_corner_cases=[(0, 1, 1)],
+                            mark_case_counts={"b": 1, "a": 2}, elapsed_seconds=0.5)
+    b = oracle.OracleResult(total_cases=3, walk_mismatches=4, lossy_corner_cases=[(2, 3, 0)],
+                            mark_case_counts={"c": 4, "a": 1}, elapsed_seconds=0.25)
+    total = a + b
+    assert (total.total_cases, total.walk_mismatches, total.elapsed_seconds) == (4, 6, 0.75)
+    assert total.lossy_corner_cases == [(0, 1, 1), (2, 3, 0)]
+    assert list(total.mark_case_counts.items()) == [("b", 1), ("a", 3), ("c", 4)]  # first seen
+    assert (a.total_cases, a.mark_case_counts, a.lossy_corner_cases) == (1, {"b": 1, "a": 2}, [(0, 1, 1)])
+
+
+def test_oracle_result_keeps_fail_limit_counterexamples():
+    out = oracle.OracleResult()
+    for i in range(oracle.FAIL_LIMIT + 2):
+        out.fail(str(i))
+    kept = [str(i) for i in range(oracle.FAIL_LIMIT)]
+    assert out.failures == kept
+    first = oracle.OracleResult(failures=["first"])
+    assert (first + out).failures == ["first", *kept[:-1]]
+    assert (out + first).failures == kept
 
 
 def _flip(result, at: int):
