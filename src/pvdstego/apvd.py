@@ -18,13 +18,16 @@ restores a dropped MSB as '1'.
 The per-block kernels are ``embed_block_values`` and ``mark_with_case``
 for embedding and ``extract_block_value`` for extraction, and the
 exhaustive oracle in :mod:`pvdstego.oracle` checks them case by case.
-The embed walk (``embed_walk``) is one loop that inlines the common
-block -- plain attempt in range, flag-0 mark without a boundary
-sub-case -- and calls the two embed kernels for every other block, so
-the boundary logic is written once; ``apvd_embed_image`` is the walk
-over a framed payload.  The extraction kernel reads only the difference
-and the first pixel's LSB, so the extraction walk looks each block's
-chunk text up instead (``chunk_texts``).  The oracle runs the embed
+The embed walk (``embed_walk``) takes each window of blocks from
+``pvd.cut_chunks`` and the plain attempt from ``pvd.plain_lanes``, and
+embeds and marks the common block -- plain attempt in range, flag-0
+mark without a boundary sub-case -- in those 16-bit lanes; only the
+other blocks, found with ``bytes.find`` on the lane mask, call the two
+embed kernels, so the boundary logic is written once.
+``apvd_embed_image`` is the walk over a framed payload.  The extraction
+kernel reads only the difference and the first pixel's LSB, so the
+extraction walk looks each block's chunk text up instead
+(``chunk_texts``).  The oracle runs the embed
 walk over every case and the lookup over every pair, and compares them
 with the kernels.
 
@@ -46,11 +49,11 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
 
-from .codec import HEADER_BITS, CapacityError, RangeTable
+from .codec import HEADER_BITS, RangeTable
 from .codec import collect_frame, deframe_payload, frame_payload
 from .imagery import GrayImage, block_differences, block_windows
 from .metrics import mse_psnr_of
-from .pvd import SQUARED_ERROR, adjust_pair
+from .pvd import adjust_pair, byte_planes, cut_chunks, plain_lanes, table_sum
 
 BRANCH_PLAIN = "plain"
 BRANCH_DISCARD_RESOLVED = "discard_resolved"
@@ -74,6 +77,7 @@ MARK_CASES = (
 _CASE_CODE = {case: code for code, case in enumerate(MARK_CASES)}
 _UNMARK = bytes(v ^ 1 for v in range(256))  # a marked first pixel unmarked: LSB 0 +1, LSB 1 -1
 _FLAG_MASK = bytes(255 * (v & 1) for v in range(256))  # 0xFF where the flag, the LSB, is 1
+_SQUARE_PLANES = byte_planes(v * v for v in range(256))  # a pixel's squared error by |stego - cover|
 
 
 def one_sided_pair(
@@ -207,84 +211,66 @@ def embed_walk(cover: GrayImage, stream: bytes, table: RangeTable) -> ApvdReport
     """The adaptive embed walk over each block until the stream is out.
 
     Embeds ``stream`` as it is; ``apvd_embed_image`` frames a payload
-    first.  One loop: chunks are cut as in ``pvd.pvd_embed_image``, and
-    a block whose plain attempt stays in range and whose flag-0 mark
-    needs no boundary sub-case is embedded and marked inline; every
-    other block goes through ``embed_block_values`` and
+    first.  A window of blocks at a time: ``pvd.cut_chunks`` gives each
+    block's d' and ``pvd.plain_lanes`` its plain attempt.  A block whose
+    attempt stays in range and whose flag-0 mark needs no boundary
+    sub-case (not an even first pixel with b = 255) is marked in the
+    lanes: an odd first pixel steps down, else the second steps up, and
+    its mark-case code is 2 * (a & 1) + (b & 1).  Every other block, found
+    with ``bytes.find``, goes through ``embed_block_values`` and
     ``mark_with_case``.  Mark cases are counted in the order they first
     occur.  Raises CapacityError, with the sum of t over every block as
     the bits available, if the stream outlasts the blocks.
     """
-    t_of, lower, se = table.t, table.lower, SQUARED_ERROR
-    next_byte = iter(stream).__next__
-    needed = left = 8 * len(stream)  # left: stream bits not yet embedded
-    acc = held = 0  # acc: the last ``held`` of them read from the stream
-    stego = bytearray()
-    put = stego.append
+    t_of, lower = bytes(table.t), table.lower
+    parts: list[bytearray] = []
     codes = bytearray()  # each block's mark case, as its index in MARK_CASES
-    record = codes.append
     branch_counts = dict.fromkeys(BRANCHES, 0)
     lossy_corners = []
     ssd = 0
-    px = iter(cover.pixels)
-    for p, q in zip(px, px):
-        if left <= 0:
-            break
-        d = p - q if p > q else q - p
-        t = t_of[d]
-        if held < t:
-            acc = acc << 8 | (next_byte() if left > held else 0)
-            held += 8
-        held -= t
-        chunk = acc >> held
-        acc &= (1 << held) - 1
-        left -= t
-        m = lower[d] + chunk - d  # d' - d; adjust_pair inlined as in pvd.pvd_embed_image
-        if m > 0:
-            h = m >> 1
-            a, b = (p + m - h, q - h) if p >= q else (p - h, q + m - h)
-        else:
-            h = -m >> 1
-            a, b = (p + m + h, q + h) if p >= q else (p + h, q + m + h)
-        if 0 <= a <= 255 and 0 <= b <= 255 and (a & 1 or b < 255):
-            # the mark moves one pixel by 1: its squared error e^2 becomes (e -+ 1)^2 = e^2 -+ 2e + 1
-            if a & 1:  # keep/1x: the first pixel steps down to LSB 0
-                put(a - 1)
-                put(b)
-                record(2 + (b & 1))
-                ssd += se[m] - 2 * (a - p) + 1
-            else:  # keep/0x: the second pixel steps up
-                put(a)
-                put(b + 1)
-                record(b & 1)
-                ssd += se[m] + 2 * (b - q) + 1
-        else:
-            pair, flag, branch = embed_block_values(p, q, chunk, table)
+    for bit, window, d, d_new in cut_chunks(cover.pixels, stream, table):
+        ones, _, a, b = plain_lanes(window, d, d_new)  # biased by 256
+        n, low = len(window), ones * 0xFF
+        odd = a & ones  # a & 1: the first pixel steps down, else the second up
+        top = ((b & low) + ones) >> 8 & ones  # b's low byte is 255
+        fast = a >> 8 & b >> 8 & (odd | ones ^ top) & ones
+        marked = (a - odd) & low | ((b + (ones ^ odd)) & low) << 8
+        stego = bytearray(marked.to_bytes(n, "little"))
+        code = bytearray((odd << 1 | b & ones).to_bytes(n, "little")[0::2])
+        slow = (ones ^ fast).to_bytes(n, "little")  # 1 in the low byte of each other block
+        i = slow.find(1)
+        while i >= 0:
+            k = i >> 1
+            pair, flag, branch = embed_block_values(
+                window[i], window[i + 1], d_new[k] - lower[d[k]], table
+            )
             pair, case = mark_with_case(pair, flag)
-            ssd += (pair[0] - p) ** 2 + (pair[1] - q) ** 2
+            stego[i : i + 2] = pair
+            code[k] = _CASE_CODE[case]
+            branch_counts[branch] += 1
             if case == LOSSY_MARK_CASE:
                 # the chunk is all ones, and its last bit, framed-stream
                 # bit end - 1, reads back flipped
-                end = needed - left
+                end = bit + sum(d[: k + 1].translate(t_of))
                 byte = (end - 1 - HEADER_BITS) // 8 if end > HEADER_BITS else None
-                lossy_corners.append((len(codes), byte))
-            stego += bytes(pair)
-            record(_CASE_CODE[case])
-            branch_counts[branch] += 1
-    else:
-        if left > 0:
-            raise CapacityError(needed, needed - left)
+                lossy_corners.append((len(codes) + k, byte))
+            i = slow.find(1, i + 2)
+        # the squared error, from each pixel's |stego - cover|
+        moved = bytearray(2 * n)
+        moved[0::2], moved[1::2] = stego, window
+        ssd += table_sum(block_differences(moved), _SQUARE_PLANES)
+        parts.append(stego)
+        codes += code
     others = sum(n for branch, n in branch_counts.items() if branch != BRANCH_PLAIN)
     branch_counts[BRANCH_PLAIN] = len(codes) - others
     seen = sorted((codes.find(code), code) for code in range(len(MARK_CASES)))
     mark_case_counts = {MARK_CASES[code]: codes.count(code) for first, code in seen if first >= 0}
-    walked = len(stego)
-    stego += memoryview(cover.pixels)[walked:]  # a slice of a view copies nothing
+    pixels = b"".join([*parts, memoryview(cover.pixels)[2 * len(codes) :]])  # one copy of the tail
     mse, psnr_db = mse_psnr_of(ssd, len(cover.pixels))
     return ApvdReport(
-        stego=GrayImage(cover.width, cover.height, bytes(stego)),
-        bits_embedded=needed,
-        blocks_used=walked // 2,
+        stego=GrayImage(cover.width, cover.height, pixels),
+        bits_embedded=8 * len(stream),
+        blocks_used=len(codes),
         branch_counts=branch_counts,
         mark_case_counts=mark_case_counts,
         lossy_corners=lossy_corners,

@@ -10,7 +10,6 @@ import math
 import sys
 from collections.abc import Iterator
 from dataclasses import asdict
-from itertools import islice
 from pathlib import Path
 
 from . import metrics
@@ -24,7 +23,7 @@ from .codec import (
     frame_payload,
 )
 from .imagery import SYNTHETIC_KINDS, GrayImage, PgmError, load_pgm, save_pgm, synthetic_cover
-from .pvd import clamp_raster, pvd_embed_image, pvd_extract_image
+from .pvd import pvd_embed_image, pvd_extract_image
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -147,13 +146,7 @@ def cmd_embed(args) -> int:
                 "clamping for PGM output, extraction may be corrupt",
                 file=sys.stderr,
             )
-        # only the walked prefix differs from the cover, and pvd_embed_image
-        # has scanned it: without violations it is in range
-        walked = 2 * result.blocks_used
-        head = islice(result.stego, walked)
-        tail = memoryview(cover.pixels)[walked:]
-        pixels = (clamp_raster(head) if result.violations else bytes(head)) + tail
-        stego_bytes = save_pgm(GrayImage(cover.width, cover.height, pixels))
+        stego_bytes = save_pgm(GrayImage(cover.width, cover.height, result.stored))
         scheme_report = dict(violations=result.violations, clamped=bool(result.violations))
     report.update(
         bits_embedded=result.bits_embedded,

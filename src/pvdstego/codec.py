@@ -3,11 +3,11 @@
 Bit streams are ``bytes``, MSB-first within each byte.  The payload wire
 format is a 32-bit big-endian bit-count header followed by the message
 bits; any zero bits an embedder appends past the end of the stream to
-fill its final chunk are dropped again on deframing.  Each embed walk
-cuts the stream into per-block chunks itself, through an integer
-accumulator that never holds more than 15 bits.  Extraction reads each
-block as its chunk text of binary digits, and ``collect_frame`` packs
-the texts back a window of blocks at a time.
+fill its final chunk are dropped again on deframing.  Both embed walks
+take their per-block chunks from ``pvd.cut_chunks``, a window of blocks
+at a time.  Extraction reads each block as its chunk text of binary
+digits, and ``collect_frame`` packs the texts back a window of blocks
+at a time.
 """
 
 from functools import cached_property

@@ -5,7 +5,8 @@ the embedders and the extractors walk the raster in flat row-major
 order, pairing consecutive pixels into non-overlapping two-pixel blocks
 (``pixels[0::2]`` with ``pixels[1::2]``, a block may straddle a row
 end); an odd trailing pixel belongs to no block and is never modified.
-``block_differences`` gives every block's |p - q| in whole-raster int steps.
+``block_differences`` gives every block's |p - q| in whole-raster int steps,
+and ``block_lanes`` the same as 16-bit lanes with a lane mask of p < q.
 """
 
 import random
@@ -53,13 +54,14 @@ def block_windows(pixels: bytes) -> Iterator[bytes]:
         size = min(2 * size, 2 * BLOCK_WINDOW)
 
 
-def block_differences(pixels: bytes) -> bytes:
-    """|p - q| of each block of an 8-bit raster, one byte per block.
+def block_lanes(pixels: bytes) -> tuple[int, int]:
+    """|p - q| and [p < q] of each block of an 8-bit raster, as 16-bit lanes of two ints.
 
     The raster as one little-endian int, on any platform, holds block i
     in bits 16i..16i+15 as p + 256 q, and an odd trailing pixel above
     them all.  Each lane becomes 256 + p - q, in 1..511 so that no lane
-    borrows from the next, then |p - q|.
+    borrows from the next, then |p - q|; the second int holds 1 in the
+    lanes where p < q.
     """
     k = len(pixels) // 2
     x = int.from_bytes(pixels, "little")
@@ -68,7 +70,13 @@ def block_differences(pixels: bytes) -> bytes:
     v = (x & low) + high - ((x >> 8) & low)
     below = ones - ((v >> 8) & ones)  # 1 in the lanes where p < q
     # p >= q: drop the 256; p < q: (511 - v) - 256 + 1 = q - p
-    return ((v ^ (below * 0x1FF) ^ high) + below).to_bytes(2 * k, "little")[0::2]
+    return (v ^ (below * 0x1FF) ^ high) + below, below
+
+
+def block_differences(pixels: bytes) -> bytes:
+    """|p - q| of each block of an 8-bit raster, one byte per block (see ``block_lanes``)."""
+    k = len(pixels) // 2
+    return block_lanes(pixels)[0].to_bytes(2 * k, "little")[0::2]
 
 
 # --- PGM codec -------------------------------------------------------------

@@ -15,10 +15,12 @@ checks, per case, the per-block kernels of both schemes:
 
 The sweep's unit is a row, one first-pixel value p.  Once the
 kernels have run over a row's cases, both embed walks
-(``pvd.pvd_embed_image`` and ``apvd.embed_walk``, which inline the
-kernels' arithmetic) run once over a cover holding those cases in sweep
-order, and every field of their results is checked against the kernels,
-the cover and ``metrics.mse_psnr``.  What differs is ``walk_mismatches``.
+(``pvd.pvd_embed_image`` and ``apvd.embed_walk``, which do the kernels'
+arithmetic a window of blocks at a time) run once over a cover holding
+those cases in sweep order, and every field of their results is
+checked against the kernels, the cover and ``metrics.mse_psnr``; the
+pvd walk's stored raster against the kernels' values clamped.  What
+differs is ``walk_mismatches``.
 After the sweep, the walks' extraction lookups (``chunk_texts`` in each
 scheme) are checked once on every pair they can meet, [0, 255]^2, as
 one 8-bit raster; its mismatches, the rest of the raster if a lookup
@@ -232,6 +234,7 @@ def _sweep_row(p: int, table: RangeTable) -> OracleResult:
     stego, tail = report.stego.pixels, list(cover[walked:])
     for what, got, want in (
         ("pvd embed", wide.stego[: len(base)], base),
+        ("pvd stored", list(wide.stored[: len(base)]), [min(max(v, 0), 255) for v in base]),
         ("pvd tail", wide.stego[walked:], tail),
         ("pvd blocks used", [wide.blocks_used], [walked // 2]),
         ("pvd bits embedded", [wide.bits_embedded], [8 * len(stream)]),

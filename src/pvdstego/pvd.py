@@ -11,8 +11,11 @@ and surfaced, never silently repaired; the adaptive variant in
 
 ``embed_pair`` and ``extract_pair`` are the block kernels, which the
 selftest checks case by case.  The image walks do not call them per
-block: ``pvd_embed_image`` is one loop with the kernel's arithmetic
-inlined, and returns the wide raster.  Extraction reads the stored 8-bit
+block.  ``cut_chunks`` cuts the stream into chunks and gives both walks
+each block's d' a window of blocks at a time, ``plain_lanes`` applies
+``adjust_pair`` to a whole window in 16-bit lanes of big ints, and
+``pvd_embed_image`` reads the clamped 8-bit raster, the violations and
+the squared error off those lanes.  Extraction reads the stored 8-bit
 raster, the wide one clamped, as Wu and Tsai define it: ``chunk_texts``
 looks each block's text up by its ``imagery.block_differences`` for
 ``codec.collect_frame`` to pack.  The selftest also runs
@@ -21,11 +24,14 @@ looks each block's text up by its ``imagery.block_differences`` for
 """
 
 from dataclasses import dataclass
-from itertools import chain
+from bisect import bisect_left
+from functools import cached_property
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .codec import CapacityError, RangeTable, collect_frame
-from .imagery import GrayImage, block_differences, block_windows
+from .imagery import GrayImage, block_differences, block_lanes, block_windows
 from .metrics import mse_psnr_of
 
 
@@ -40,10 +46,25 @@ def wide_window(table: RangeTable) -> tuple[int, int]:
 
 
 _CLAMP_LOW, _CLAMP_HIGH = wide_window(RangeTable((256,)))
-# keyed by every value of the widest window: anything else raises KeyError
+# clamp_raster's map, keyed by every value of the widest window: anything else raises KeyError
 _CLAMPED = {v: min(max(v, 0), 255) for v in range(_CLAMP_LOW, _CLAMP_HIGH + 1)}
-# a block's squared error for d' - d = m, indexed by m: negative m counts back from the end
-SQUARED_ERROR = tuple((k - k // 2) ** 2 + (k // 2) ** 2 for k in (*range(256), *range(255, 0, -1)))
+
+
+def byte_planes(values: Iterable[int]) -> tuple[bytes, bytes]:
+    """The low and the high bytes of 256 values in [0, 65535], for ``table_sum``."""
+    values = tuple(values)
+    return bytes(v & 0xFF for v in values), bytes(v >> 8 for v in values)
+
+
+def table_sum(keys: bytes, planes: tuple[bytes, bytes]) -> int:
+    """The sum of ``table[k]`` over the bytes k of ``keys``, given ``byte_planes(table)``."""
+    low, high = planes
+    return sum(keys.translate(low)) + (sum(keys.translate(high)) << 8)
+
+
+# a block's squared error by m = |d' - d|: one pixel moves ceil(m / 2), the other floor
+SQUARED_ERROR = tuple((m - m // 2) ** 2 + (m // 2) ** 2 for m in range(256))
+_SQUARED_ERROR_PLANES = byte_planes(SQUARED_ERROR)
 
 
 def adjust_pair(p: int, q: int, d: int, d_new: int) -> tuple[int, int]:
@@ -72,76 +93,150 @@ def extract_pair(first: int, second: int, table: RangeTable) -> tuple[int, int]:
     return d - table.lower[d], table.t[d]
 
 
+def cut_chunks(
+    pixels: bytes, stream: bytes, table: RangeTable
+) -> Iterator[tuple[int, bytes, bytes, bytes]]:
+    """(bit, window, d, d') for each ``block_windows`` window the stream reaches.
+
+    ``window`` holds whole blocks only, ``d`` their ``block_differences``
+    and ``d'`` = lower[d] + chunk for each; ``bit`` is the stream offset
+    of the window's first chunk.  The chunks are cut with no Python step
+    per block: the running sum of t gives where each chunk ends, and a
+    block's chunk is the low t bits of the 8 stream bits that end there,
+    picked from a table of the 8 bits ending at every bit of the window's
+    stream bytes.  The final chunk is zero-filled to its block's t, and
+    the last window stops at its block.  Raises CapacityError, with the
+    sum of t over every block as the bits available, if the stream
+    outlasts the blocks.
+    """
+    t_of, lower_of = bytes(table.t), bytes(table.lower)
+    mask_of = bytes((1 << t) - 1 for t in table.t)
+    needed = 8 * len(stream)
+    bit = 0
+    for window in block_windows(pixels):
+        if bit >= needed:
+            return
+        d = block_differences(window)
+        if not d:  # a last window of one odd pixel
+            break
+        first = bit >> 3  # the stream byte of the window's first chunk
+        # ends[i + 1]: where block i's chunk ends, in bits from byte ``first``
+        ends = list(accumulate(d.translate(t_of), initial=bit & 7))
+        if ends[-1] >= needed - 8 * first:  # the stream ends at block n - 1
+            n = bisect_left(ends, needed - 8 * first)
+            del ends[n + 1 :]
+            d = d[:n]
+        size = (ends[-1] + 7) >> 3
+        head = int.from_bytes(stream[first : first + size].ljust(size, b"\0"), "big")
+        # ending[r]: the 8 bits that end r bits into ``head``, zeros before it
+        ending = bytearray(8 * size + 8)
+        for shift in range(8):
+            ending[shift::8] = (head << shift).to_bytes(size + 1, "big")
+        chunks = bytes(itemgetter(*ends)(ending))[1:]  # ends[0] is no block's
+        # lower[d] + chunk <= 255: the bytes add without a carry
+        lower = int.from_bytes(d.translate(lower_of), "little")
+        mask = int.from_bytes(d.translate(mask_of), "little")
+        d_new = lower + (int.from_bytes(chunks, "little") & mask)
+        n = len(d)
+        yield bit, window[: 2 * n], d, d_new.to_bytes(n, "little")
+        bit += ends[-1] - ends[0]
+    if bit < needed:
+        raise CapacityError(needed, bit)
+
+
+def plain_lanes(window: bytes, d: bytes, d_new: bytes) -> tuple[int, int, int, int]:
+    """``adjust_pair`` on every block of a window at once, in 16-bit lanes.
+
+    Returns (ones, m, p', q'), each an int whose lane i, bits
+    16i..16i+15, holds for block i: 1; m = |d' - d|; the attempt's p'
+    and q', each plus 256.  The larger pixel (p on a tie) moves ceil(m /
+    2) and its partner floor(m / 2), apart if d' > d and together
+    otherwise.  A biased pixel is in [128, 639], so no lane borrows, and
+    the pixel is in [0, 255] exactly when its lane's bit 8 is set.
+    """
+    n = len(d)
+    pairs = bytearray(2 * n)
+    pairs[0::2], pairs[1::2] = d_new, d
+    m, closer = block_lanes(pairs)  # closer: 1 in the lanes where d' < d
+    below = block_lanes(window)[1]  # 1 in the lanes where p < q
+    x = int.from_bytes(window, "little")
+    ones = int.from_bytes(b"\x01\x00" * n, "little")
+    low, high = ones * 0xFF, ones << 8
+    move_p = (m >> 1 & ones * 0x7F) + (m & (ones ^ below))  # ceil for the larger pixel
+    move_q = m - move_p
+    up = (ones ^ closer ^ below) * 0xFFFF  # all ones in the lanes where p moves up
+    p_new = (x & low) + high - move_p + ((move_p & up) << 1)
+    q_new = (x >> 8 & low) + high + move_q - ((move_q & up) << 1)
+    return ones, m, p_new, q_new
+
+
 @dataclass
 class PvdResult:
-    """Embedding trace: wide stego raster plus violation and quality statistics.
+    """Embedding trace: stored 8-bit raster plus violation and quality statistics.
 
-    ``violations`` counts the stego values outside [0, 255], all of them
-    in the first ``2 * blocks_used`` values; the rest is the cover's.
+    ``stored`` is the stego raster as a PGM holds it, every value
+    clamped into [0, 255]; ``wide`` lists (index, value) of each value
+    the arithmetic put outside [0, 255], and ``stego`` is the wide
+    raster rebuilt from the two.  ``violations`` counts ``wide``, all in
+    the first ``2 * blocks_used`` values; the rest is the cover's.
     ``mse`` and ``psnr_db`` measure the wide raster against the cover,
     the distortion the arithmetic produced before any clamp.
     """
 
-    stego: list[int]
+    stored: bytes
+    wide: list[tuple[int, int]]
     violations: int
     bits_embedded: int
     blocks_used: int
     mse: float
     psnr_db: float
 
+    @cached_property
+    def stego(self) -> list[int]:
+        """The wide raster: ``stored`` with the ``wide`` values put back."""
+        values = list(self.stored)
+        for index, value in self.wide:
+            values[index] = value
+        return values
+
 
 def pvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> PvdResult:
     """Embed a stream with ``embed_pair`` over each block until it is exhausted.
 
-    The caller frames the stream (see codec.frame_payload).  One loop
-    with the kernel's arithmetic inlined: each chunk is cut from an
-    accumulator of at most 15 bits, the final one zero-filled to its
-    block's t.  Untouched blocks and any odd trailing pixel are copied
-    verbatim.  Raises CapacityError, with the sum of t over every block
-    as the bits available, if the stream outlasts the blocks.
+    The caller frames the stream (see codec.frame_payload).  A window
+    of blocks at a time: ``cut_chunks`` gives each block's d', and
+    ``plain_lanes`` the pixels.  Each lane is clamped, a lane whose bit
+    8 is clear adds its value to ``wide``, and the squared error is the
+    sum of ``SQUARED_ERROR`` over the m lanes.  Untouched blocks and any
+    odd trailing pixel are copied verbatim.  Raises CapacityError, with
+    the sum of t over every block as the bits available, if the stream
+    outlasts the blocks.
     """
-    t_of, lower, se = table.t, table.lower, SQUARED_ERROR
-    next_byte = iter(payload).__next__
-    needed = left = 8 * len(payload)  # left: stream bits not yet embedded
-    acc = held = 0  # acc: the last ``held`` of them read from the stream
-    stego: list[int] = []
-    ssd = violations = 0
-    px = iter(cover.pixels)
-    for p, q in zip(px, px):
-        if left <= 0:
-            break
-        d = p - q if p > q else q - p
-        t = t_of[d]
-        if held < t:
-            acc = acc << 8 | (next_byte() if left > held else 0)
-            held += 8
-        held -= t
-        m = lower[d] + (acc >> held) - d  # d' - d
-        acc &= (1 << held) - 1
-        left -= t
-        ssd += se[m]
-        # adjust_pair: the larger pixel (p on a tie) moves ceil(|m| / 2), its partner floor
-        if m > 0:  # moving apart; as d' <= 255, at most one pixel leaves [0, 255]
-            h = m >> 1
-            if p >= q:
-                a, b = p + m - h, q - h
-                if a > 255 or b < 0:
-                    violations += 1
-            else:
-                a, b = p - h, q + m - h
-                if a < 0 or b > 255:
-                    violations += 1
-            stego += (a, b)
-        else:
-            h = -m >> 1
-            stego += (p + m + h, q + h) if p >= q else (p + h, q + m + h)
-    else:
-        if left > 0:
-            raise CapacityError(needed, needed - left)
-    walked = len(stego)
-    stego += memoryview(cover.pixels)[walked:]  # a slice of a view copies nothing
+    parts: list[bytes] = []
+    wide: list[tuple[int, int]] = []
+    ssd = walked = 0
+    for _, window, d, d_new in cut_chunks(cover.pixels, payload, table):
+        ones, m, p_new, q_new = plain_lanes(window, d, d_new)
+        n = len(window)
+        inside_p, inside_q = p_new >> 8 & ones, q_new >> 8 & ones
+        # a lane in range keeps its low byte; below 0 it reads 0, past 255 (bit 9 set) 255
+        stored_p = p_new & inside_p * 0xFF | (p_new >> 9 & ones) * 0xFF
+        stored_q = q_new & inside_q * 0xFF | (q_new >> 9 & ones) * 0xFF
+        parts.append((stored_p | stored_q << 8).to_bytes(n, "little"))
+        outside = (ones ^ inside_p) | (ones ^ inside_q) << 8  # one byte per pixel
+        if outside:
+            flags = outside.to_bytes(n, "little")
+            lanes = p_new.to_bytes(n, "little"), q_new.to_bytes(n, "little")
+            i = flags.find(1)
+            while i >= 0:
+                lane, k = lanes[i & 1], i & ~1
+                wide.append((walked + i, lane[k] + (lane[k + 1] << 8) - 256))
+                i = flags.find(1, i + 1)
+        ssd += table_sum(m.to_bytes(n, "little")[0::2], _SQUARED_ERROR_PLANES)
+        walked += n
+    stored = b"".join([*parts, memoryview(cover.pixels)[walked:]])  # one copy of the tail
     mse, psnr_db = mse_psnr_of(ssd, len(cover.pixels))
-    return PvdResult(stego, violations, needed, walked // 2, mse, psnr_db)
+    return PvdResult(stored, wide, len(wide), 8 * len(payload), walked // 2, mse, psnr_db)
 
 
 def chunk_texts(pixels: bytes, table: RangeTable) -> Iterator[str]:
@@ -167,6 +262,9 @@ def clamp_raster(stego: Iterable[int]) -> bytes:
     raster can return corrupted data.  Accepts values in [-128, 383],
     the wide window of the widest range table, and raises ValueError
     outside it.  One pass, so an iterator such as an ``islice`` will do.
+    ``pvd_embed_image`` clamps in its lanes (``PvdResult.stored``); the
+    benchmark's traced replay (ROADMAP item 1) is the last caller outside
+    the tests, and this function and ``_CLAMPED`` go with it.
     """
     try:
         return bytes(map(_CLAMPED.__getitem__, stego))

@@ -19,7 +19,7 @@ from pvdstego.cli import (
 from pvdstego.codec import build_range_table, frame_payload
 from pvdstego.imagery import GrayImage, save_pgm, synthetic_cover
 from pvdstego.metrics import capacity, mse_psnr
-from pvdstego.pvd import pvd_embed_image
+from pvdstego.pvd import clamp_raster, pvd_embed_image
 
 TABLE = build_range_table()
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -103,17 +103,13 @@ def test_recorded_stego_images_extract_as_recorded(tmp_path, name, method, kind,
     assert sum(a != b for a, b in zip(recovered, payload, strict=True)) == wrong_bytes
 
 
-def test_embed_pvd_round_trip_without_violations(tmp_path, monkeypatch, capsys):
-    # pvd_embed_image has already found no violations, so no second scan runs
-    def refuse(raster):
-        raise AssertionError("clamp_raster called on a raster without violations")
-
-    monkeypatch.setattr(cli, "clamp_raster", refuse)
+def test_embed_pvd_round_trip_without_violations(tmp_path, capsys):
     # mid-gray flat cover: d' <= 7 keeps every stego value near 128
     cover = GrayImage(48, 48, bytes([128] * (48 * 48)))
     cover_file = tmp_path / "smooth.pgm"
     cover_file.write_bytes(save_pgm(cover))
-    payload = _write_payload(tmp_path, b"plain baseline works on smooth covers")
+    message = b"plain baseline works on smooth covers"
+    payload = _write_payload(tmp_path, message)
     stego = tmp_path / "stego.pgm"
     recovered = tmp_path / "recovered.bin"
 
@@ -122,6 +118,11 @@ def test_embed_pvd_round_trip_without_violations(tmp_path, monkeypatch, capsys):
         "--cover", str(cover_file), "--payload", str(payload), "--out", str(stego),
     ]) == EXIT_OK
     assert json.loads((tmp_path / "stego.pgm.json").read_text())["violations"] == 0
+    # embed writes the walk's stored raster as it is: the wide raster clamped
+    result = pvd_embed_image(cover, frame_payload(message), TABLE)
+    assert result.wide == []
+    assert result.stored == clamp_raster(result.stego)
+    assert stego.read_bytes() == save_pgm(GrayImage(48, 48, result.stored))
     assert main([
         "extract", "--method", "pvd",
         "--cover", str(stego), "--out", str(recovered),

@@ -13,6 +13,7 @@ from pvdstego.imagery import (
     GrayImage,
     PgmError,
     block_differences,
+    block_lanes,
     block_windows,
     load_pgm,
     save_pgm,
@@ -158,6 +159,15 @@ def test_block_differences_of_every_pair():
     # an odd trailing pixel belongs to no block
     assert block_differences(raster + b"\xff") == block_differences(raster)
     assert block_differences(b"") == block_differences(b"\x07") == b""
+
+
+def test_block_lanes_of_every_pair():
+    raster = bytes(v for pair in _EVERY_PAIR for v in pair)
+    difference, below = block_lanes(raster + b"\x07")  # the odd pixel is no block's
+    size = 2 * len(_EVERY_PAIR)  # each lane's value fits its low byte
+    want = bytes(v for p, q in _EVERY_PAIR for v in (abs(p - q), 0))
+    assert difference.to_bytes(size, "little") == want
+    assert below.to_bytes(size, "little") == bytes(v for p, q in _EVERY_PAIR for v in (p < q, 0))
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,15 +9,20 @@ from pvdstego.codec import (
     deframe_payload,
     frame_payload,
 )
-from pvdstego.imagery import GrayImage
+from pvdstego.imagery import GrayImage, block_windows
 from pvdstego.metrics import capacity, mse_psnr
 from pvdstego.pvd import (
+    SQUARED_ERROR,
     adjust_pair,
+    byte_planes,
     clamp_raster,
+    cut_chunks,
     embed_pair,
     extract_pair,
+    plain_lanes,
     pvd_embed_image,
     pvd_extract_image,
+    table_sum,
     wide_window,
 )
 
@@ -44,6 +49,80 @@ def test_embed_block_examples(pair, bits, expected):
 )
 def test_extract_block_inverts_embed(pair, bits):
     assert extract_pair(pair[0], pair[1], TABLE) == (int(bits, 2), len(bits))
+
+
+def _lanes(lanes: int, count: int) -> list[int]:
+    """The ``count`` 16-bit lanes of an int, lane 0 first."""
+    raw = lanes.to_bytes(2 * count, "little")
+    return [low | high << 8 for low, high in zip(raw[0::2], raw[1::2])]
+
+
+@pytest.mark.parametrize("turn", range(3))
+def test_plain_lanes_match_adjust_pair_on_every_pair(turn):
+    # every (p, q) once per turn, each with a d' spread over [0, 255]
+    pairs = [(p, q) for p in range(256) for q in range(256)]
+    window = bytes(v for pair in pairs for v in pair)
+    d = bytes(abs(p - q) for p, q in pairs)
+    d_new = bytes((7 * p + 13 * q + 101 * turn) % 256 for p, q in pairs)
+    ones, m, p_new, q_new = plain_lanes(window, d, d_new)
+    assert _lanes(ones, len(pairs) + 1) == [1] * len(pairs) + [0]
+    got = zip(_lanes(m, len(pairs)), _lanes(p_new, len(pairs)), _lanes(q_new, len(pairs)))
+    for (p, q), old, new, (m_i, a, b) in zip(pairs, d, d_new, got):
+        assert (m_i, a - 256, b - 256) == (abs(new - old), *adjust_pair(p, q, old, new)), (p, q, new)
+
+
+def _reference_cut(pixels: bytes, stream: bytes, table):
+    """cut_chunks the slow way: a bit string, one block at a time."""
+    bits = "".join(format(byte, "08b") for byte in stream)
+    out, pos = [], 0
+    for window in block_windows(pixels):
+        if pos >= len(bits):
+            break
+        start, d_new, blocks = pos, bytearray(), len(window) // 2
+        for i in range(blocks):
+            d = abs(window[2 * i] - window[2 * i + 1])
+            t = table.t[d]
+            d_new.append(table.lower[d] + int(bits[pos : pos + t].ljust(t, "0"), 2))
+            pos += t
+            if pos >= len(bits):
+                break
+        n = len(d_new)
+        if n:
+            d = bytes(abs(p - q) for p, q in zip(window[0 : 2 * n : 2], window[1 : 2 * n : 2]))
+            out.append((start, window[: 2 * n], d, bytes(d_new)))
+    if pos < len(bits):
+        raise CapacityError(len(bits), pos)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 9000),
+    st.integers(0, 4000),
+    st.sampled_from([TABLE, build_range_table((2,) * 128), build_range_table((256,))]),
+    st.randoms(use_true_random=False),
+)
+def test_cut_chunks_match_a_bit_string_loop(pixel_count, stream_bytes, table, rng):
+    pixels, stream = rng.randbytes(pixel_count), rng.randbytes(stream_bytes)
+    try:
+        want = _reference_cut(pixels, stream, table)
+    except CapacityError as exc:
+        with pytest.raises(CapacityError) as info:
+            list(cut_chunks(pixels, stream, table))
+        assert (info.value.needed_bits, info.value.available_bits) == (
+            exc.needed_bits, exc.available_bits
+        )
+        return
+    assert list(cut_chunks(pixels, stream, table)) == want
+
+
+def test_table_sum_adds_a_table_over_bytes():
+    squares = [v * v for v in range(256)]
+    keys = bytes(range(256)) * 3 + b"\xff"
+    assert table_sum(keys, byte_planes(squares)) == sum(squares[k] for k in keys)
+    assert table_sum(b"", byte_planes(squares)) == 0
+    assert SQUARED_ERROR[:4] == (0, 1, 2, 5) and len(SQUARED_ERROR) == 256
+    assert SQUARED_ERROR[255] == 128**2 + 127**2
 
 
 def test_wide_window_bounds():

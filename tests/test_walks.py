@@ -15,7 +15,7 @@ import random
 import tempfile
 import tracemalloc
 from dataclasses import replace
-from itertools import islice
+from itertools import accumulate, islice
 from pathlib import Path
 
 import pytest
@@ -41,7 +41,14 @@ from pvdstego.codec import (
     deframe_payload,
     frame_payload,
 )
-from pvdstego.imagery import GrayImage, PgmError, load_pgm, save_pgm, synthetic_cover
+from pvdstego.imagery import (
+    GrayImage,
+    PgmError,
+    block_windows,
+    load_pgm,
+    save_pgm,
+    synthetic_cover,
+)
 from pvdstego.metrics import capacity, mse_psnr
 from pvdstego.pvd import (
     clamp_raster,
@@ -60,7 +67,11 @@ def _bits(stream: bytes) -> str:
 
 
 def _reference_embed(cover: GrayImage, stream: bytes, table, adaptive: bool):
-    """(stego values, per-block labels, bits embedded) the slow way."""
+    """(stego values, per-block labels, bits embedded) the slow way.
+
+    An adaptive block's label is (branch, mark case, the stream bit its
+    chunk ends at); a baseline block's, how many of its pixels left [0, 255].
+    """
     bits = _bits(stream)
     stego = list(cover.pixels)
     labels = []
@@ -74,7 +85,7 @@ def _reference_embed(cover: GrayImage, stream: bytes, table, adaptive: bool):
         if adaptive:
             pixels, flag, branch = embed_block_values(p, q, chunk, table)
             (first, second), case = mark_with_case(pixels, flag)
-            labels.append((branch, case))
+            labels.append((branch, case, pos))
         else:
             first, second = embed_pair(p, q, chunk, table)
             labels.append((not 0 <= first <= 255) + (not 0 <= second <= 255))
@@ -112,27 +123,25 @@ def _random_raster(rng: random.Random, count: int) -> bytes:
     )
 
 
-@pytest.mark.parametrize("seed", range(12))
-@pytest.mark.parametrize("width,height", [(9, 9), (8, 10), (1, 81), (33, 17), (64, 31)])
-def test_walks_match_block_by_block_kernels(seed, width, height):
-    rng = random.Random(seed * 1000 + width)
-    table = TABLES[seed % len(TABLES)]
-    cover = GrayImage(width, height, _random_raster(rng, width * height))
-    _, net = capacity(cover, table)
-    payload = rng.randbytes(rng.choice([0, net // 2, net]))
+def _check_walks(cover: GrayImage, payload: bytes, table):
+    """Both embed walks and both extractors against the reference loops."""
     framed = frame_payload(payload)
 
     report = apvd_embed_image(cover, payload, table)
     stego, labels, bits = _reference_embed(cover, framed, table, adaptive=True)
     branch_counts = dict.fromkeys(BRANCHES, 0)
     mark_case_counts = {}
-    for branch, case in labels:
+    lossy_corners = []
+    for block, (branch, case, end) in enumerate(labels):
         branch_counts[branch] += 1
         mark_case_counts[case] = mark_case_counts.get(case, 0) + 1
+        if case == apvd.LOSSY_MARK_CASE:  # the chunk's last bit, stream bit end - 1, reads back flipped
+            lossy_corners.append((block, (end - 1 - HEADER_BITS) // 8 if end > HEADER_BITS else None))
     assert report.stego.pixels == bytes(stego)
     assert (report.mse, report.psnr_db) == mse_psnr(cover.pixels, stego)
     assert report.branch_counts == branch_counts
     assert list(report.mark_case_counts.items()) == list(mark_case_counts.items())
+    assert report.lossy_corners == lossy_corners
     assert report.bits_embedded == bits == 8 * len(framed)
     assert report.blocks_used == len(labels)
     got = _outcome(lambda: apvd_extract_image(report.stego, table))
@@ -144,16 +153,45 @@ def test_walks_match_block_by_block_kernels(seed, width, height):
     result = pvd_embed_image(cover, framed, table)
     wide, violations, bits = _reference_embed(cover, framed, table, adaptive=False)
     assert result.stego == wide
+    assert result.stored == clamp_raster(wide)
+    assert result.wide == [(i, v) for i, v in enumerate(wide) if not 0 <= v <= 255]
     assert (result.mse, result.psnr_db) == mse_psnr(cover.pixels, wide)
-    assert result.violations == sum(violations) == sum(1 for v in wide if not 0 <= v <= 255)
+    assert result.violations == sum(violations) == len(result.wide)
     assert result.bits_embedded == bits
     assert result.blocks_used == len(violations)
     # the wide raster round-trips through the kernel; extraction reads the
     # 8-bit raster a stego image holds, clamped where values left [0, 255]
     assert _reference_extract(result.stego, table, extract_pair) == framed
-    clamped = clamp_raster(result.stego)
-    got = _outcome(lambda: deframe_payload(pvd_extract_image(clamped, table)))
-    assert got == _outcome(lambda: deframe_payload(_reference_extract(clamped, table, extract_pair)))
+    got = _outcome(lambda: deframe_payload(pvd_extract_image(result.stored, table)))
+    want = _outcome(lambda: deframe_payload(_reference_extract(result.stored, table, extract_pair)))
+    assert got == want
+    return report, result
+
+
+# up to 64x31, 992 blocks, inside the first three windows of block_windows; 128x128,
+# 8,192 blocks, reaches the 4,096-block windows; 129x65 ends in an odd pixel
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize(
+    "width,height", [(9, 9), (8, 10), (1, 81), (33, 17), (64, 31), (128, 128), (129, 65)]
+)
+def test_walks_match_block_by_block_kernels(seed, width, height):
+    rng = random.Random(seed * 1000 + width)
+    table = TABLES[seed % len(TABLES)]
+    cover = GrayImage(width, height, _random_raster(rng, width * height))
+    _, net = capacity(cover, table)
+    _check_walks(cover, rng.randbytes(rng.choice([0, net // 2, net])), table)
+
+
+@pytest.mark.parametrize("table", TABLES[1:], ids=lambda table: f"t={table.t[0]}")
+@pytest.mark.parametrize("window", range(5))
+def test_walks_match_the_kernels_when_the_stream_ends_on_a_window_end(table, window):
+    # every block of these tables takes the same t bits, so a framed stream
+    # of t * blocks bits ends exactly on the last block of a window
+    cover = GrayImage(129, 128, _random_raster(random.Random(window), 129 * 128))
+    blocks = list(accumulate(len(w) // 2 for w in block_windows(cover.pixels)))[window]
+    payload = random.Random(blocks).randbytes(table.t[0] * blocks // 8 - HEADER_BITS // 8)
+    report, result = _check_walks(cover, payload, table)
+    assert report.blocks_used == result.blocks_used == blocks
 
 
 @pytest.mark.parametrize("widths", [(256,), (128, 128)])
@@ -309,8 +347,17 @@ def _flip(result, at: int):
     values = list(getattr(stego, "pixels", stego))
     values[at] ^= 1
     if isinstance(stego, GrayImage):
-        values = replace(stego, pixels=bytes(values))
-    return replace(result, stego=values)
+        return replace(result, stego=replace(stego, pixels=bytes(values)))
+    spoiled = replace(result)  # PvdResult.stego is a cached property, not a field
+    vars(spoiled)["stego"] = values
+    return spoiled
+
+
+def _flip_stored(result, at: int):
+    """The pvd walk's result with the LSB of stored value ``at`` flipped; its stego follows."""
+    stored = bytearray(result.stored)
+    stored[at] ^= 1
+    return replace(result, stored=bytes(stored))
 
 
 def _add_one(result, name: str):
@@ -353,6 +400,20 @@ def test_walk_check_counts_a_walk_that_disagrees(monkeypatch, module, name, spoi
     assert part.failures == [
         f"row p={p}: 1 {w} item(s) differ from the kernels" for p in (100, 101) for w in whats
     ]
+
+
+@pytest.mark.parametrize(
+    "at,whats",
+    [(1, ["pvd embed", "pvd stored", "pvd squared error"]), (-1, ["pvd tail", "pvd squared error"])],
+)
+def test_walk_check_counts_a_spoiled_stored_raster(monkeypatch, at, whats):
+    # the wide raster is rebuilt from the stored one, so both show the spoiled value
+    real = pvd.pvd_embed_image
+    monkeypatch.setattr(pvd, "pvd_embed_image", lambda *args: _flip_stored(real(*args), at))
+    part = _sweep_rows(TABLE, (100, 101))
+    assert part.walk_mismatches == 2 * len(whats)  # one item each in each row
+    want = [f"row p={p}: 1 {w} item(s) differ from the kernels" for p in (100, 101) for w in whats]
+    assert part.failures == want[: oracle.FAIL_LIMIT]
 
 
 def test_walk_check_counts_a_walk_that_raises(monkeypatch):
