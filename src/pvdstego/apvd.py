@@ -26,8 +26,8 @@ other blocks, found with ``bytes.find`` on the lane mask, call the two
 embed kernels, so the boundary logic is written once.
 ``apvd_embed_image`` is the walk over a framed payload.  The extraction
 kernel reads only the difference and the first pixel's LSB, so the
-extraction walk looks each block's chunk text up instead
-(``chunk_texts``).  The oracle runs the embed
+extraction walk keys each block's chunk text instead (``chunk_keys``),
+a window at a time.  The oracle runs the embed
 walk over every case and the lookup over every pair, and compares them
 with the kernels.
 
@@ -46,7 +46,6 @@ Branch and mark-case labels used in reports:
 """
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator
 
 from .codec import HEADER_BITS, RangeTable
@@ -171,7 +170,7 @@ def extract_block_value(first: int, second: int, table: RangeTable) -> tuple[int
     """The extraction kernel: (chunk value, t) of a marked stego pair.
 
     Undoes the mark before it reads the difference.  The walk looks its
-    results up instead (``chunk_texts``).
+    results up instead (``chunk_keys``).
     """
     if first & 1:  # flag 1: restore the dropped MSB
         d = first - 1 - second
@@ -287,29 +286,25 @@ def apvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> Apv
     return embed_walk(cover, frame_payload(payload), table)
 
 
-def chunk_texts(pixels: bytes, table: RangeTable) -> Iterator[str]:
-    """The chunk text ``extract_block_value`` gives each marked pair, by lookup.
+def chunk_keys(pixels: bytes, table: RangeTable) -> Iterator[bytes]:
+    """Each ``block_windows`` window's key of the text ``extract_block_value`` gives a pair.
 
-    A window of ``block_windows`` at a time, as the texts are read: one
+    A block's key is the index of its chunk text in ``table.texts``.  One
     translate undoes the mark as ``extract_block_value`` does,
     ``block_differences`` gives each d, and a byte mask of the flags picks
-    the text of ``table.msb_set[d]`` for the blocks whose flag is set.
+    ``table.msb_set[d]`` for the blocks whose flag is set.
     """
-    texts, msb_set = table.texts, table.msb_set
-
-    def keys():
-        for window in block_windows(pixels):
-            firsts, unmarked = window[0::2], bytearray(window)
-            unmarked[0::2] = firsts.translate(_UNMARK)
-            d = block_differences(unmarked)
-            plain = int.from_bytes(d, "little")
-            msb = int.from_bytes(d.translate(msb_set), "little")
-            flags = int.from_bytes(firsts.translate(_FLAG_MASK), "little")
-            yield (plain ^ ((plain ^ msb) & flags)).to_bytes(len(d), "little")
-
-    return chain.from_iterable(map(texts.__getitem__, k) for k in keys())
+    msb_set = table.msb_set
+    for window in block_windows(pixels):
+        firsts, unmarked = window[0::2], bytearray(window)
+        unmarked[0::2] = firsts.translate(_UNMARK)
+        d = block_differences(unmarked)
+        plain = int.from_bytes(d, "little")
+        msb = int.from_bytes(d.translate(msb_set), "little")
+        flags = int.from_bytes(firsts.translate(_FLAG_MASK), "little")
+        yield (plain ^ ((plain ^ msb) & flags)).to_bytes(len(d), "little")
 
 
 def apvd_extract_image(stego: GrayImage, table: RangeTable) -> bytes:
-    """Read marked blocks until the framed stream completes, then deframe."""
-    return deframe_payload(collect_frame(chunk_texts(stego.pixels, table)))
+    """Read marked blocks a window at a time until the framed stream completes, then deframe."""
+    return deframe_payload(collect_frame(chunk_keys(stego.pixels, table), table.texts))

@@ -5,21 +5,18 @@ format is a 32-bit big-endian bit-count header followed by the message
 bits; any zero bits an embedder appends past the end of the stream to
 fill its final chunk are dropped again on deframing.  Both embed walks
 take their per-block chunks from ``pvd.cut_chunks``, a window of blocks
-at a time.  Extraction reads each block as its chunk text of binary
-digits, and ``collect_frame`` packs the texts back a window of blocks
-at a time.
+at a time.  Extraction reads each ``imagery.block_windows`` window as
+one key per block, the index of its chunk text in ``RangeTable.texts``,
+and ``collect_frame`` joins and packs a whole window's texts at once.
 """
 
 from functools import cached_property
-from itertools import accumulate, islice
-from typing import Iterable
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 DEFAULT_WIDTHS = (8, 8, 16, 32, 64, 128)
 
 HEADER_BITS = 32
-
-# blocks per window: the texts collect_frame joins at once, and imagery.block_windows' cap
-BLOCK_WINDOW = 4096
 
 
 class CapacityError(ValueError):
@@ -92,40 +89,41 @@ class RangeTable:
 build_range_table = RangeTable  # the same class, under the name callers build tables by
 
 
-def collect_frame(texts: Iterable[str]) -> bytes:
-    """Pack chunk texts (at most 8 binary digits each) until the framed stream is complete.
+def collect_frame(windows: Iterable[bytes], texts: Sequence[str]) -> bytes:
+    """Pack the chunk texts of windows of block keys until the framed stream is complete.
 
-    Reads the header's blocks, then the declared payload's, joining and
-    converting up to BLOCK_WINDOW texts at a time.  A window of at most
-    ceil(bits still missing / 8) texts cannot pass the block that
-    completes the stream, so no block after it is read.  Returns the
-    bytes that hold the header and the declared bits, the last one
-    possibly part fill.
+    Each window holds one key per block, the index of its text (at most
+    8 binary digits) in ``texts``; a whole window is joined and converted
+    at once.  Reads the windows through the one that completes the header
+    and the declared payload, and returns exactly those bits, the last
+    byte zero-filled.
     """
-    texts = iter(texts)
     out = bytearray()
     acc = held = got = 0  # acc: the last ``held`` bits, short of a byte
     target = HEADER_BITS
     declared = None
-    while got < target:
-        window = "".join(islice(texts, min(BLOCK_WINDOW, (target - got + 7) // 8)))
-        if not window:
-            raise TruncatedPayload(
-                f"stego image ran out of blocks after {got} bits "
-                f"(declared payload: {'unknown' if declared is None else declared} bits)"
-            )
+    for keys in windows:
+        window = "".join(map(texts.__getitem__, keys))
         got += len(window)
         held += len(window)
-        acc = acc << len(window) | int(window, 2)
+        acc = acc << len(window) | int(window or "0", 2)
         out += (acc >> (held & 7)).to_bytes(held >> 3, "big")
         held &= 7
         acc &= (1 << held) - 1
         if declared is None and got >= HEADER_BITS:
             declared = int.from_bytes(out[:4], "big")
             target += declared
+        if got >= target:
+            break
+    else:
+        raise TruncatedPayload(
+            f"stego image ran out of blocks after {got} bits "
+            f"(declared payload: {'unknown' if declared is None else declared} bits)"
+        )
     if held:
         out.append(acc << (8 - held))
     del out[(target + 7) // 8 :]
+    out[-1] &= 0xFF << (-target & 7) & 0xFF  # no bit past the frame
     return bytes(out)
 
 

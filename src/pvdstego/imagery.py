@@ -7,6 +7,8 @@ order, pairing consecutive pixels into non-overlapping two-pixel blocks
 end); an odd trailing pixel belongs to no block and is never modified.
 ``block_differences`` gives every block's |p - q| in whole-raster int steps,
 and ``block_lanes`` the same as 16-bit lanes with a lane mask of p < q.
+``block_windows`` is the one window schedule of the embed walks, the
+extractors and the capacity pass, which each read a window at a time.
 """
 
 import random
@@ -14,7 +16,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .codec import BLOCK_WINDOW
+BLOCK_WINDOW = 4096  # the most blocks block_windows puts in one window
 
 
 class PgmError(ValueError):
@@ -44,8 +46,8 @@ def block_windows(pixels: bytes) -> Iterator[bytes]:
     """Slices of whole blocks of ``pixels``, for ``block_differences`` one at a time.
 
     The first holds 256 blocks and each next one twice as many, up to
-    BLOCK_WINDOW, so a reader that stops after a short payload has
-    differenced few blocks past it.  An odd trailing pixel ends the last.
+    BLOCK_WINDOW, so a reader that stops after a short payload has read
+    few blocks past it.  An odd trailing pixel ends the last.
     """
     start, size = 0, 2 * 256
     while start < len(pixels):
@@ -187,7 +189,7 @@ def _p2_raster(data: bytes, pos: int, count: int) -> bytearray:
             raise PgmError("trailing data after pixel raster")
         values.extend(map(int, words))  # valid words, some with leading zeros
     if len(values) < count:
-        raise PgmError("truncated header: missing pixel value")
+        raise PgmError(f"truncated pixel data: got {len(values)} of {count} values")
     return values
 
 

@@ -21,11 +21,12 @@ those cases in sweep order, and every field of their results is
 checked against the kernels, the cover and ``metrics.mse_psnr``; the
 pvd walk's stored raster against the kernels' values clamped.  What
 differs is ``walk_mismatches``.
-After the sweep, the walks' extraction lookups (``chunk_texts`` in each
+After the sweep, the walks' extraction lookups (``chunk_keys`` in each
 scheme) are checked once on every pair they can meet, [0, 255]^2, as
-one 8-bit raster; its mismatches, the rest of the raster if a lookup
-raises part way, are ``lookup_mismatches``, as is a ``metrics.capacity``
-of that raster other than the kernels' sum of t.  Neither check is
+one 8-bit raster; a pair whose text differs or is missing (the rest of
+the raster if a lookup raises part way) and a text past the last pair
+each count in ``lookup_mismatches``, as does a ``metrics.capacity`` of
+that raster other than the kernels' sum of t.  Neither check is
 counted in ``total_cases``.  ``run`` sweeps each row as one task, over
 one worker process per CPU the process may run on, or in-process on one
 CPU, and adds the rows' results up: ``OracleResult`` supports ``+``.
@@ -161,26 +162,27 @@ def _check_pair(
 
 
 def _check_lookups(table: RangeTable, out: OracleResult) -> None:
-    """The walks' chunk-text lookups, pair by pair, and the capacity pass against the kernels."""
+    """The walks' chunk-key lookups, pair by pair, and the capacity pass against the kernels."""
 
-    def texts(lookup):
+    def texts(lookup, *args):
         # one raster of every pair, so the lookup's pairing of pixels is checked too
         try:
-            yield from lookup(raster, table)
+            for keys in lookup(raster, *args):
+                yield from map(table.texts.__getitem__, keys)
         except Exception as exc:  # a defect of any kind: no text for this pair or any after it
             out.fail(f"{lookup.__module__}.{lookup.__name__} raised {exc!r}")
-            yield from [None] * len(every)
 
     every = list(product(range(256), repeat=2))
     raster = bytes(chain.from_iterable(every))
-    lookups = {apvd.extract_block_value: apvd.chunk_texts, pvd.extract_pair: pvd.chunk_texts}
-    for kernel, lookup in lookups.items():
-        for (p, q), text in zip(every, texts(lookup)):
-            value, t = kernel(p, q, table)
-            want = format(value, f"0{t}b")
+    for kernel, found in (
+        (apvd.extract_block_value, texts(apvd.chunk_keys, table)),
+        (pvd.extract_pair, texts(pvd.chunk_keys)),
+    ):
+        for pair, text in zip_longest(every, found):  # a pair with no text, or a text with no pair
+            want = pair and "{:0{}b}".format(*kernel(*pair, table))
             if text != want:
                 out.lookup_mismatches += 1
-                out.fail(f"{kernel.__name__}({p}, {q}): lookup {text}, kernel {want}")
+                out.fail(f"{kernel.__name__}{pair or ''}: lookup {text}, kernel {want}")
 
     # metrics.capacity reads the blocks' differences as apvd extraction does
     raw = capacity(GrayImage(len(raster), 1, raster), table)[0]

@@ -16,17 +16,17 @@ each block's d' a window of blocks at a time, ``plain_lanes`` applies
 ``adjust_pair`` to a whole window in 16-bit lanes of big ints, and
 ``pvd_embed_image`` reads the clamped 8-bit raster, the violations and
 the squared error off those lanes.  Extraction reads the stored 8-bit
-raster, the wide one clamped, as Wu and Tsai define it: ``chunk_texts``
-looks each block's text up by its ``imagery.block_differences`` for
-``codec.collect_frame`` to pack.  The selftest also runs
-``pvd_embed_image`` over every case and the lookup over every pair of
-[0, 255]^2, and compares them with the kernels.
+raster, the wide one clamped, as Wu and Tsai define it: ``chunk_keys``
+gives each window's ``imagery.block_differences``, the keys of the
+blocks' texts in ``RangeTable.texts``, for ``codec.collect_frame`` to
+pack.  The selftest also runs ``pvd_embed_image`` over every case and
+the lookup over every pair of [0, 255]^2 against the kernels.
 """
 
 from dataclasses import dataclass
 from bisect import bisect_left
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -239,20 +239,19 @@ def pvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> PvdR
     return PvdResult(stored, wide, len(wide), 8 * len(payload), walked // 2, mse, psnr_db)
 
 
-def chunk_texts(pixels: bytes, table: RangeTable) -> Iterator[str]:
-    """``extract_pair``'s chunk text of each block, looked up a window of blocks at a time."""
-    texts = table.texts.__getitem__
-    return chain.from_iterable(map(texts, block_differences(w)) for w in block_windows(pixels))
+def chunk_keys(pixels: bytes) -> Iterator[bytes]:
+    """Each window's keys of ``extract_pair``'s texts in ``RangeTable.texts``: the differences."""
+    return map(block_differences, block_windows(pixels))
 
 
 def pvd_extract_image(stego: bytes, table: RangeTable) -> bytes:
-    """Read an 8-bit raster until its framed stream is complete.
+    """Read an 8-bit raster a window at a time until its framed stream is complete.
 
     Returns the bytes holding the header and the declared payload bits,
-    for codec.deframe_payload.  A value outside [0, 255], which no raster
-    of a stego image holds, raises ValueError.
+    zero-filled past them, for codec.deframe_payload.  A value outside
+    [0, 255], which no raster of a stego image holds, raises ValueError.
     """
-    return collect_frame(chunk_texts(stego, table))
+    return collect_frame(chunk_keys(stego), table.texts)
 
 
 def clamp_raster(stego: Iterable[int]) -> bytes:

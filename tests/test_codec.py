@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pvdstego import codec
 from pvdstego.codec import (
     DEFAULT_WIDTHS,
     HEADER_BITS,
@@ -226,6 +225,11 @@ def test_frame_deframe_identity(message):
     assert deframe_payload(frame_payload(message)) == message
 
 
+def _collect_all(texts: list[str]) -> bytes:
+    """collect_frame over one window of every text, keyed by its position."""
+    return collect_frame([range(len(texts))], texts)
+
+
 @settings(max_examples=200)
 @given(st.binary(max_size=512), st.integers(1, 8))
 def test_chunks_round_trip_through_collect_frame(message, t):
@@ -234,40 +238,49 @@ def test_chunks_round_trip_through_collect_frame(message, t):
     blocks = (8 * len(framed) + t - 1) // t
     chunks = _walked_chunks(framed, [0] * blocks, widths)
     assert len(chunks) == blocks
-    assert collect_frame(format(chunk, f"0{t}b") for chunk in chunks) == framed
+    # the key of a chunk c is a difference whose text is c's: c itself, in the first range
+    assert collect_frame([bytes(chunks)], build_range_table(widths).texts) == framed
 
 
 def test_frame_collector_stops_at_declared_length():
     framed = frame_payload(b"\xa5")  # 40 bits
     bits = format(int.from_bytes(framed, "big"), "040b")
-    texts = iter(_texts(bits, 3) + ["111"] * 5)
-    assert collect_frame(texts) == framed
-    # ceil(40 / 3) = 14 texts consumed, the rest left in place
-    assert len(list(texts)) == 5
+    texts = _texts(bits, 3) + ["111"] * 5
+    # ceil(40 / 3) = 14 texts complete the frame, in the second window
+    windows = iter([range(0, 10), range(10, 16), range(16, 19)])
+    assert collect_frame(windows, texts) == framed
+    # the window after it is left in place
+    assert list(windows) == [range(16, 19)]
     assert deframe_payload(framed) == b"\xa5"
 
 
 def test_frame_collector_incomplete_raises():
-    with pytest.raises(TruncatedPayload):
-        collect_frame(_texts("0" * 31, 1))
+    with pytest.raises(TruncatedPayload) as info:
+        _collect_all(_texts("0" * 31, 1))
+    assert str(info.value) == (
+        "stego image ran out of blocks after 31 bits (declared payload: unknown bits)"
+    )
     # header present but payload missing
+    with pytest.raises(TruncatedPayload) as info:
+        _collect_all(_texts(format(80, "032b"), 8))
+    assert str(info.value) == "stego image ran out of blocks after 32 bits (declared payload: 80 bits)"
     with pytest.raises(TruncatedPayload):
-        collect_frame(_texts(format(80, "032b"), 8))
+        collect_frame([], [])
     # an empty payload completes with the header alone
-    assert collect_frame(_texts("0" * HEADER_BITS, 4)) == bytes(4)
+    assert _collect_all(_texts("0" * HEADER_BITS, 4)) == bytes(4)
 
 
-def _one_shot_collect(texts: list[str]):
-    """collect_frame's bytes and the texts it reads, from one join of all of them."""
+def _one_shot_collect(texts: list[str], windows: list[range]):
+    """collect_frame's bytes and the windows it reads, from one join of all the texts."""
     bits = "".join(texts)
     target = HEADER_BITS
     if len(bits) >= HEADER_BITS:
         target += int(bits[:HEADER_BITS], 2)
     if len(bits) < target:
         return TruncatedPayload
-    ends = list(accumulate(map(len, texts)))
-    used = bisect_left(ends, target) + 1  # through the text that completes the frame
-    return _stream(bits[: ends[used - 1]])[: (target + 7) // 8], used
+    ends = list(accumulate(sum(len(texts[k]) for k in window) for window in windows))
+    used = bisect_left(ends, target) + 1  # through the window that completes the frame
+    return _stream(bits[:target]), used
 
 
 @st.composite
@@ -295,18 +308,22 @@ def _cut_frames(draw):
 _FRAME_8 = format(8, "032b") + "10100101"
 
 
+# windows of the texts between cuts: a cut past the last text falls on
+# it, and a repeated cut makes an empty window
 @settings(max_examples=300)
-@given(_cut_frames(), st.integers(1, 5) | st.just(codec.BLOCK_WINDOW))
-@example(_texts(_FRAME_8, 3), 1)  # cuts mid-byte, inside the header and past the target
-@example(_texts(_FRAME_8 + "1" * 16, 8), 2)  # cuts exactly at the header's end and the target
-@example(_texts(_FRAME_8[:-1], 1), 3)  # one bit short
-@example(_texts("0" * 30, 5), 1)  # inside the header
-def test_windowed_collector_matches_one_shot_join(texts, window):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(codec, "BLOCK_WINDOW", window)
-        rest = iter(texts)
-        try:
-            got = collect_frame(rest), len(texts) - len(list(rest))
-        except TruncatedPayload:
-            got = TruncatedPayload
-    assert got == _one_shot_collect(texts)
+@given(_cut_frames(), st.lists(st.integers(0, 60), max_size=12))
+@example(_texts(_FRAME_8, 3), [])  # one window holds the whole frame
+@example(_texts(_FRAME_8 + "1" * 16, 8), [6])  # completed mid-way through the first window
+@example(_texts(_FRAME_8 + "1" * 16, 8), [2, 5])  # completed on a window's last block
+@example(_texts(_FRAME_8 + "111", 3), [0, 0, 5, 12])  # empty windows, completed mid-window
+@example(_texts(_FRAME_8[:-1], 1), [3])  # one bit short
+@example(_texts("0" * 30, 5), [1, 1])  # inside the header
+def test_windowed_collector_matches_one_shot_join(texts, cuts):
+    edges = [0, *sorted(min(cut, len(texts)) for cut in cuts), len(texts)]
+    windows = [range(a, b) for a, b in zip(edges, edges[1:])]
+    rest = iter(windows)
+    try:
+        got = collect_frame(rest, texts), len(windows) - len(list(rest))
+    except TruncatedPayload:
+        got = TruncatedPayload
+    assert got == _one_shot_collect(texts, windows)

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pvdstego import imagery
-from pvdstego.codec import BLOCK_WINDOW, build_range_table
+from pvdstego.codec import build_range_table
 from pvdstego.imagery import (
+    BLOCK_WINDOW,
     SYNTHETIC_KINDS,
     GrayImage,
     PgmError,
@@ -67,6 +68,8 @@ def test_ascii_lines_stay_short():
         (b"P5\n0 5\n255\n", "dimension"),
         (b"P5\n2 2\n255\n\x00\x00\x00", "truncated"),
         (b"P2\n2 1\n255\n1", "truncated"),
+        (b"P5 2 2 255 \x00\x00\x00", "truncated pixel data: got 3 of 4 bytes"),
+        (b"P2 2 2 255 1 2 3", "truncated pixel data: got 3 of 4 values"),
         (b"P2\n1 1\n255\n300", "exceeds"),
         (b"P5\n1 1\n255\n\x00\x01", "trailing"),
         (b"P2\n1 1\n255\n0 junk", "trailing"),
@@ -294,7 +297,7 @@ def _reference_load_p2(data: bytes) -> GrayImage:
                 raise PgmError(f"pixel value {value} exceeds maxval 255")
             values.append(value)
         if len(values) < width * height:
-            raise PgmError("truncated header: missing pixel value")
+            raise PgmError(f"truncated pixel data: got {len(values)} of {width * height} values")
         if next(tokens, None) is not None:
             raise PgmError("trailing data after pixel raster")
         return GrayImage(width, height, bytes(values))
@@ -380,6 +383,7 @@ def test_windowed_p2_matches_token_reference(data):
         b"P2 2 1 255#c\n12#c\n7\n",
         b"P2\r# c\r2 1\r255\r3\r4\r",
         b"P2 1 1 255\n",
+        b"P2 2 2 255 1 2 3",
         b"P2 1 1 255 300",
         b"P2 2 1 255 1 x 300",
         b"P2 1 1 255 1 junk",

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from pvdstego.codec import BLOCK_WINDOW, DEFAULT_WIDTHS, HEADER_BITS, build_range_table
-from pvdstego.imagery import GrayImage, synthetic_cover
+from pvdstego.codec import DEFAULT_WIDTHS, HEADER_BITS, build_range_table
+from pvdstego.imagery import BLOCK_WINDOW, GrayImage, synthetic_cover
 from pvdstego.metrics import (
     ComparisonRow,
     capacity,

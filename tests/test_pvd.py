@@ -262,12 +262,12 @@ def _chunk_raster(bits: str) -> list[int]:
     return [v for i in range(0, len(bits), 7) for v in (0, 128 + int(bits[i : i + 7], 2))]
 
 
-def test_extract_reads_no_block_past_the_frame():
+def test_extract_reads_no_bit_past_the_frame():
     # 41 bits declared in all: the 6th block completes the frame, one bit past it
     blocks = _chunk_raster(format(9, "032b") + "101101101" + "1")
     assert len(blocks) == 2 * 6
-    # the bit past the frame is kept, then zeros to the byte
-    framed = (9).to_bytes(4, "big") + bytes([0b10110110, 0b11000000])
+    # the bit past the frame and the block after it read as zeros to the byte
+    framed = (9).to_bytes(4, "big") + bytes([0b10110110, 0b10000000])
     assert pvd_extract_image(bytes(blocks + [0, 255]), TABLE) == framed
 
 

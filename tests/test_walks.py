@@ -15,7 +15,7 @@ import random
 import tempfile
 import tracemalloc
 from dataclasses import replace
-from itertools import accumulate, islice
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -32,7 +32,6 @@ from pvdstego.apvd import (
     mark_with_case,
 )
 from pvdstego.codec import (
-    BLOCK_WINDOW,
     HEADER_BITS,
     CapacityError,
     PayloadError,
@@ -42,6 +41,7 @@ from pvdstego.codec import (
     frame_payload,
 )
 from pvdstego.imagery import (
+    BLOCK_WINDOW,
     GrayImage,
     PgmError,
     block_windows,
@@ -162,9 +162,8 @@ def _check_walks(cover: GrayImage, payload: bytes, table):
     # the wide raster round-trips through the kernel; extraction reads the
     # 8-bit raster a stego image holds, clamped where values left [0, 255]
     assert _reference_extract(result.stego, table, extract_pair) == framed
-    got = _outcome(lambda: deframe_payload(pvd_extract_image(result.stored, table)))
-    want = _outcome(lambda: deframe_payload(_reference_extract(result.stored, table, extract_pair)))
-    assert got == want
+    got = _outcome(lambda: pvd_extract_image(result.stored, table))
+    assert got == _outcome(lambda: _reference_extract(result.stored, table, extract_pair))
     return report, result
 
 
@@ -249,11 +248,16 @@ def test_lookup_check_counts_a_wrong_text(which):
 
 
 @pytest.mark.parametrize("module", [pvd, apvd], ids=["pvd", "apvd"])
-def test_lookup_check_counts_a_spoiled_chunk_texts(monkeypatch, module):
+def test_lookup_check_counts_a_spoiled_chunk_keys(monkeypatch, module):
     # the walk check leaves extraction to the lookup check; a walk that
     # reads the wrong first text must show there, on its own and in run()
-    real = module.chunk_texts
-    monkeypatch.setattr(module, "chunk_texts", lambda *args: iter(["", *list(real(*args))[1:]]))
+    real = module.chunk_keys
+
+    def spoiled(*args):  # every text of this table is one bit, the key's LSB
+        first, *rest = real(*args)
+        return iter([bytes([first[0] ^ 1]) + first[1:], *rest])
+
+    monkeypatch.setattr(module, "chunk_keys", spoiled)
     table = build_range_table((2,) * 128)
     out = oracle.OracleResult()
     oracle._check_lookups(table, out)
@@ -271,19 +275,19 @@ def test_lookup_check_counts_a_spoiled_chunk_texts(monkeypatch, module):
 def test_lookup_check_counts_a_lookup_that_misreads_its_raster(monkeypatch, module, defect):
     # each lookup reads its pairs as one raster, so a pairing defect, or a
     # lookup that stops on a pair it can decode, is counted and not raised
-    real = module.chunk_texts
+    real = module.chunk_keys
     if defect == "shifted pairs":  # reads (q0, p1), (q1, p2), ...
 
-        def spoiled(pixels, table):
-            return real(pixels[1:] + pixels[:1], table)
+        def spoiled(pixels, *table):
+            return real(pixels[1:] + pixels[:1], *table)
 
     else:
 
-        def spoiled(pixels, table):
-            yield from islice(real(pixels, table), 10)
+        def spoiled(pixels, *table):
+            yield next(real(pixels, *table))[:10]
             raise IndexError("spoiled")
 
-    monkeypatch.setattr(module, "chunk_texts", spoiled)
+    monkeypatch.setattr(module, "chunk_keys", spoiled)
     table = build_range_table((2,) * 128)
     out = oracle.OracleResult()
     oracle._check_lookups(table, out)
@@ -293,6 +297,29 @@ def test_lookup_check_counts_a_lookup_that_misreads_its_raster(monkeypatch, modu
         assert out.lookup_mismatches == 256 * 256 - 10
         assert out.failures[0] == f"{__name__}.spoiled raised IndexError('spoiled')"
     assert len(out.failures) == oracle.FAIL_LIMIT
+
+
+@pytest.mark.parametrize("module", [pvd, apvd], ids=["pvd", "apvd"])
+@pytest.mark.parametrize("defect,mismatches", [("drops its last window", 256), ("an extra key", 1)])
+def test_lookup_check_counts_pairs_a_lookup_never_reads(monkeypatch, module, defect, mismatches):
+    # the raster of every pair ends in a window of 256 blocks; a pair with
+    # no text and a text with no pair are each one mismatch
+    real = module.chunk_keys
+    if defect == "drops its last window":
+
+        def spoiled(*args):
+            return iter(list(real(*args))[:-1])
+
+    else:
+
+        def spoiled(*args):
+            return iter([*real(*args), b"\0"])
+
+    monkeypatch.setattr(module, "chunk_keys", spoiled)
+    out = oracle.OracleResult()
+    oracle._check_lookups(build_range_table(), out)
+    assert out.lookup_mismatches == mismatches
+    assert out.failures
 
 
 def test_walk_check_covers_the_zero_fill_of_a_row():
@@ -465,6 +492,47 @@ def test_full_capacity_round_trip_across_extraction_windows(table):
 
 
 # --- work in proportion to the payload -----------------------------------------
+
+
+def _spy_windows(monkeypatch) -> list[int]:
+    """Blocks of each window either extractor pulls from ``block_windows``, in order."""
+    pulled = []
+    for module in (pvd, apvd):
+        real = module.block_windows
+
+        def spy(pixels, real=real):
+            for window in real(pixels):
+                pulled.append(len(window) // 2)
+                yield window
+
+        monkeypatch.setattr(module, "block_windows", spy)
+    return pulled
+
+
+@pytest.mark.parametrize("kind", ["gradient", "noise", "checkerboard"])
+def test_extraction_of_a_short_payload_pulls_two_windows(monkeypatch, kind):
+    # 256 bytes take 2,080 bits: 298 blocks of 7 bits on the checkerboard,
+    # 694 of 3 on the gradient, all inside the first two windows' 768
+    cover = synthetic_cover(kind, 512, 512, 0)
+    payload = random.Random(kind).randbytes(256)
+    apvd_stego = apvd_embed_image(cover, payload, TABLE).stego
+    pvd_stored = pvd_embed_image(cover, frame_payload(payload), TABLE).stored
+    pulled = _spy_windows(monkeypatch)
+    # lossy corners and clamped violations may spoil bytes, not the length
+    assert len(apvd_extract_image(apvd_stego, TABLE)) == len(payload)
+    assert pulled == [256, 512]
+    pulled.clear()
+    assert len(pvd_extract_image(pvd_stored, TABLE)) == len(frame_payload(payload))
+    assert pulled == [256, 512]
+
+
+def test_extraction_of_a_full_capacity_payload_pulls_every_window(monkeypatch):
+    cover = synthetic_cover("noise", 512, 512, 0)
+    payload = random.Random(0).randbytes(capacity(cover, TABLE)[1])
+    stego = apvd_embed_image(cover, payload, TABLE).stego
+    pulled = _spy_windows(monkeypatch)
+    apvd_extract_image(stego, TABLE)  # a lossy corner may spoil a byte, not the reading
+    assert len(pulled) == 36 and sum(pulled) == 512 * 512 // 2
 
 # min(t) of 3, 1 and 7: a stream of min(t) bits per block always fits
 BOUND_WIDTHS = ["8,8,16,32,64,128", "2,2,4,8,16,32,64,128", "128,128"]
