@@ -9,11 +9,11 @@ leave [0, 255] the block falls back, in order:
    cover value and land the entire difference change on the other pixel.
 
 Every data-carrying block is then marked: a small +-1/+-2 adjustment
-forces the first pixel's LSB to equal the flag while keeping the pair's
-recoverable difference intact, with boundary sub-cases so the
-adjustment itself can never leave the gray range.  Extraction undoes the
-mark (LSB 0 -> first+1, LSB 1 -> first-1), recovers the difference, and
-restores a dropped MSB as '1'.
+forces the first pixel's LSB to equal the flag and keeps (first ^ 1) -
+second equal to the pre-mark difference, moving both pixels back at a
+boundary so the adjustment itself never leaves the gray range.
+Extraction reads the difference of (first ^ 1, second), which undoes
+the mark, and restores a dropped MSB as '1' where the flag is set.
 
 The per-block kernels are ``embed_block_values`` and ``mark_with_case``
 for embedding and ``extract_block_value`` for extraction, and the
@@ -31,10 +31,11 @@ a window at a time.  The oracle runs the embed
 walk over every case and the lookup over every pair, and compares them
 with the kernels.
 
-One marked state is unrecoverable: the pair (0, 255) with flag 0 cannot
-be adjusted without leaving the range, so the mark step leaves it alone
-and extraction of that block comes back off by one.  These "lossy
-corner" blocks are counted, reported, and never silently repaired.
+One marked state is unrecoverable: for the pair (0, 255) with flag 0 the
+second pixel cannot step up and both cannot step back, so the mark step
+leaves it alone and extraction of that block comes back off by one.
+These "lossy corner" blocks are counted, reported, and never silently
+repaired.
 
 Branch and mark-case labels used in reports:
 
@@ -74,6 +75,8 @@ MARK_CASES = (
     *("drop/00", "drop/01", "drop/10", "drop/10-bottom", "drop/11"),
 )
 _CASE_CODE = {case: code for code, case in enumerate(MARK_CASES)}
+# the mark-case label of a pair without a boundary sub-case, by flag, LSB of first, LSB of second
+_MARK_LABELS = tuple(tuple((f"{mode}/{a}0", f"{mode}/{a}1") for a in "01") for mode in ("keep", "drop"))
 _UNMARK = bytes(v ^ 1 for v in range(256))  # a marked first pixel unmarked: LSB 0 +1, LSB 1 -1
 _FLAG_MASK = bytes(255 * (v & 1) for v in range(256))  # 0xFF where the flag, the LSB, is 1
 _SQUARE_PLANES = byte_planes(v * v for v in range(256))  # a pixel's squared error by |stego - cover|
@@ -84,25 +87,23 @@ def one_sided_pair(
 ) -> tuple[int, int]:
     """Resolve a boundary violation by moving only the safe pixel.
 
-    The pixel that crossed the range is restored to its cover value and
-    its partner absorbs the whole change m, so |q' - p'| = d_new still
-    holds.  Only one pixel of a block can ever cross, and only on the
-    difference-increasing path.
+    The pixel that crossed the range stays at its cover value and its
+    partner moves the whole change m = |d_new - d| away from the bound
+    that pixel crossed, so |q' - p'| = d_new still holds.  Only one pixel
+    of a block can ever cross, and only on the difference-increasing
+    path: raises ValueError unless exactly one pixel of ``attempt`` left
+    [0, 255] and the resolved pair lies inside it.
     """
     m = abs(d_new - d)
     ap, aq = attempt
-    # exactly one pixel can cross, in one direction
-    assert (ap > 255) + (ap < 0) + (aq > 255) + (aq < 0) == 1
-    if aq > 255:  # second crossed the upper bound
-        out = (p - m, q)
-    elif ap < 0:  # first crossed the lower bound
-        out = (p, q + m)
-    elif ap > 255:  # first crossed the upper bound
-        out = (p, q - m)
-    else:  # second crossed the lower bound
-        out = (p + m, q)
-    assert 0 <= out[0] <= 255 and 0 <= out[1] <= 255
-    return out
+    step = m if ap < 0 or aq < 0 else -m  # away from the bound crossed
+    if 0 <= aq <= 255:  # the first pixel crossed, if one did
+        one_crossed, p_new, q_new = not 0 <= ap <= 255, p, q + step
+    else:
+        one_crossed, p_new, q_new = 0 <= ap <= 255, p + step, q
+    if not (one_crossed and 0 <= p_new <= 255 and 0 <= q_new <= 255):
+        raise ValueError(f"attempt {attempt} for pair {(p, q)} has no one-sided resolution")
+    return p_new, q_new
 
 
 def embed_block_values(
@@ -135,53 +136,41 @@ def mark_with_case(
     """Adjust a block so the first pixel's LSB records the flag.
 
     Applied to every data-carrying block; returns the adjusted pair and
-    the case label.  The pair (0, 255) with flag 0 is the single case
+    the case label.  Extraction reads the difference of (first ^ 1,
+    second), so the mark keeps (first ^ 1) - second equal to p - q: a
+    first pixel of the wrong parity becomes p ^ 1, else the second pixel
+    moves the way p ^ 1 moves from p, or if that leaves the range both
+    move the other way.  The pair (0, 255) with flag 0 is the single case
     left untouched (its mismatched LSB makes the block extract off by
-    one).
+    one); (255, 0) with flag 1, which no discard branch produces, raises
+    ValueError.
     """
     p, q = pixels
-    if flag == 0:
-        if p & 1 == 0:
-            if q & 1 == 0:
-                return (p, q + 1), "keep/00"
-            if q < 255:
-                return (p, q + 1), "keep/01"
-            if p > 0 and q == 255:
-                return (p - 2, q - 1), "keep/01-top"
-            # p == 0, q == 255: no in-range adjustment exists; lossy
-            return (p, q), LOSSY_MARK_CASE
-        if q & 1 == 0:
-            return (p - 1, q), "keep/10"
-        return (p - 1, q), "keep/11"
-    if p & 1 == 0:
-        if q & 1 == 0:
-            return (p + 1, q), "drop/00"
-        return (p + 1, q), "drop/01"
-    if q & 1 == 0:
-        if q > 0:
-            return (p, q - 1), "drop/10"
-        if p < 255 and q == 0:
-            return (p + 2, q + 1), "drop/10-bottom"
+    lsb = p & 1
+    case = _MARK_LABELS[flag][lsb][q & 1]
+    if lsb != flag:  # the first pixel steps to the flag's parity
+        return (p ^ 1, q), case
+    step = (p ^ 1) - p  # the way p ^ 1 moved: +1 for flag 0, -1 for flag 1
+    q_new = q + step
+    if 0 <= q_new <= 255:
+        return (p, q_new), case
+    if 0 <= p - 2 * step <= 255:
+        return (p - 2 * step, q - step), case + ("-top", "-bottom")[flag]
+    if flag:
         raise ValueError(f"pair {pixels} cannot arise from a discard branch")
-    return (p, q - 1), "drop/11"
+    return pixels, LOSSY_MARK_CASE
 
 
 def extract_block_value(first: int, second: int, table: RangeTable) -> tuple[int, int]:
     """The extraction kernel: (chunk value, t) of a marked stego pair.
 
-    Undoes the mark before it reads the difference.  The walk looks its
-    results up instead (``chunk_keys``).
+    Undoes the mark by reading the difference of (first ^ 1, second), and
+    restores a dropped MSB where the flag, the first pixel's LSB, is 1.
+    The walk looks its results up instead (``chunk_keys``).
     """
-    if first & 1:  # flag 1: restore the dropped MSB
-        d = first - 1 - second
-        if d < 0:
-            d = -d
-        t = table.t[d]
-        return d - table.lower[d] | 1 << (t - 1), t
-    d = first + 1 - second
-    if d < 0:
-        d = -d
-    return d - table.lower[d], table.t[d]
+    d = abs((first ^ 1) - second)
+    t = table.t[d]
+    return d - table.lower[d] | (first & 1) << (t - 1), t
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 A block's difference d = |q - p| selects a range [l, u] hiding t bits;
 the chunk value b is embedded by forcing the new difference d' = l + b
-onto the pair, splitting the change m = |d' - d| between the two pixels
-(ceil-half on the pixel moving away from the other, floor-half on its
-partner).  The scheme is reproduced as defined, including its flaw: near
+onto the pair: the larger pixel (the first on a tie) moves by half of
+m = d' - d rounded away from zero, and its partner by the rest, the
+other way.  The scheme is reproduced as defined, including its flaw: near
 0/255 a stego pixel can leave the gray range.  Violations are counted
 and surfaced, never silently repaired; the adaptive variant in
 :mod:`pvdstego.apvd` exists to eliminate them.
@@ -68,17 +68,16 @@ _SQUARED_ERROR_PLANES = byte_planes(SQUARED_ERROR)
 
 
 def adjust_pair(p: int, q: int, d: int, d_new: int) -> tuple[int, int]:
-    """Split m = |d_new - d| across the pair so that |q' - p'| = d_new."""
-    m = d_new - d if d_new > d else d - d_new
-    half_down = m >> 1  # floor(m/2)
-    half_up = m - half_down  # ceil(m/2)
-    if d_new > d:
-        if p >= q:
-            return p + half_up, q - half_down
-        return p - half_down, q + half_up
+    """Split m = d_new - d across the pair so that |q' - p'| = d_new.
+
+    The larger pixel (p on a tie) moves by half of m rounded away from
+    zero, and its partner by the rest of m the other way.
+    """
+    m = d_new - d
+    share = (m + 1) >> 1 if m > 0 else m >> 1  # the larger pixel's half, away from zero
     if p >= q:
-        return p - half_up, q + half_down
-    return p + half_down, q - half_up
+        return p + share, q - m + share
+    return p - m + share, q + share
 
 
 def embed_pair(p: int, q: int, chunk: int, table: RangeTable) -> tuple[int, int]:

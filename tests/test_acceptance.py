@@ -221,7 +221,5 @@ def test_quality_delta_report(capsys):
         capsys,
         "quality-delta-report",
         ok,
-        detail
-        + " | full-capacity 512x512 synthetic covers; photographic covers "
-        "typically land near -0.6..+0.3 dB",
+        detail + " | full-capacity 512x512 synthetic covers",
     )

@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from pvdstego.apvd import (
     BRANCH_PLAIN,
     BRANCHES,
     LOSSY_MARK_CASE,
+    MARK_CASES,
     apvd_embed_image,
     apvd_extract_image,
     embed_block_values,
@@ -54,8 +57,21 @@ def test_one_sided_pair_keeps_difference():
 
 
 def test_one_sided_pair_rejects_in_range_attempt():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         one_sided_pair(100, 100, (104, 97), 0, 7)
+
+
+@pytest.mark.parametrize(
+    "p,q,attempt,d,d_new",
+    [
+        (100, 100, (256, -1), 0, 7),  # both pixels left the range
+        (0, 255, (-1, 256), 255, 255),  # both left, in opposite directions
+        (200, 200, (325, 75), 0, 250),  # the partner cannot absorb the whole change
+    ],
+)
+def test_one_sided_pair_rejects_what_no_embed_produces(p, q, attempt, d, d_new):
+    with pytest.raises(ValueError):
+        one_sided_pair(p, q, attempt, d, d_new)
 
 
 MARK_ROWS = [
@@ -87,6 +103,63 @@ def test_mark_table_rows(given_, expected):
     d = abs(pixels[1] - pixels[0]) - (case == LOSSY_MARK_CASE)
     t = TABLE.t[d]
     assert extract_block_value(*marked, TABLE) == (d - TABLE.lower[d] | flag << (t - 1), t)
+
+
+def _sha256_and_counts(rows):
+    """The SHA-256 of ``rows``, one text line each, and the count of each label in them."""
+    digest, counts = hashlib.sha256(), Counter()
+    for row in rows:
+        digest.update((",".join(map(str, row)) + "\n").encode())
+        counts.update(field for field in row if isinstance(field, str))
+    return digest.hexdigest(), counts
+
+
+def _marks():
+    for p in range(256):
+        for q in range(256):
+            for flag in (0, 1):
+                try:
+                    (p2, q2), case = mark_with_case((p, q), flag)
+                except ValueError:
+                    yield p, q, flag, "ValueError"
+                else:
+                    yield p, q, flag, p2, q2, case
+
+
+def test_mark_on_every_input_is_pinned():
+    # recorded from the case-by-case kernel before its rewrite as one rule;
+    # the selftest cannot tell one valid mark from another, this can
+    digest, counts = _sha256_and_counts(_marks())
+    assert counts == {
+        **dict.fromkeys(["keep/00", "keep/10", "keep/11", "drop/00", "drop/01", "drop/11"], 16384),
+        **dict.fromkeys(["keep/01", "drop/10"], 16256),
+        **dict.fromkeys(["keep/01-top", "drop/10-bottom"], 127),
+        LOSSY_MARK_CASE: 1,
+        "ValueError": 1,  # (255, 0) with flag 1
+    }
+    assert digest == "af86abddfaffbdd5de8138d0e07d4f15e0a98acbe8cac35a75f5e6fb1e350f63"
+
+
+def _embeds_then_marks(table):
+    for p in range(256):
+        for q in range(256):
+            for chunk in range(1 << table.t[abs(p - q)]):
+                (p1, q1), flag, branch = embed_block_values(p, q, chunk, table)
+                (p2, q2), case = mark_with_case((p1, q1), flag)
+                yield p, q, chunk, p1, q1, flag, p2, q2, case, branch
+
+
+def test_embed_then_mark_on_every_case_of_a_2_bit_table_is_pinned():
+    # 262,144 cases in which every branch and every mark case occurs
+    digest, counts = _sha256_and_counts(_embeds_then_marks(build_range_table((4,) * 64)))
+    assert {branch: counts[branch] for branch in BRANCHES} == {
+        BRANCH_PLAIN: 260870,
+        BRANCH_DISCARD_RESOLVED: 1020,
+        BRANCH_ONE_SIDED: 127,
+        BRANCH_DISCARD_THEN_ONE_SIDED: 127,
+    }
+    assert set(counts) == {*BRANCHES, *MARK_CASES}
+    assert digest == "24d740484beb18f7586483873595c25649a9550a135c81a53806016f52dca027"
 
 
 def test_unreachable_mark_input_rejected():
