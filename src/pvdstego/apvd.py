@@ -46,8 +46,8 @@ Branch and mark-case labels used in reports:
   boundary sub-cases.
 """
 
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .codec import HEADER_BITS, RangeTable
 from .codec import collect_frame, deframe_payload, frame_payload
@@ -173,22 +173,21 @@ def extract_block_value(first: int, second: int, table: RangeTable) -> tuple[int
     return d - table.lower[d] | (first & 1) << (t - 1), t
 
 
-@dataclass
-class ApvdReport:
+class ApvdReport(
+    namedtuple(
+        "ApvdReport",
+        "stego bits_embedded blocks_used branch_counts mark_case_counts lossy_corners mse psnr_db",
+    )
+):
     """One embed run: stego image plus branch and quality statistics.
 
-    ``lossy_corners`` lists each lossy-corner block as (block ordinal,
-    index of the payload byte it corrupts, or None for a header bit).
+    ``stego`` is a GrayImage, and ``branch_counts`` and ``mark_case_counts``
+    map each label to its count.  ``lossy_corners`` lists each
+    lossy-corner block as (block ordinal, index of the payload byte it
+    corrupts, or None for a header bit).
     """
 
-    stego: GrayImage
-    bits_embedded: int
-    blocks_used: int
-    branch_counts: dict[str, int]
-    mark_case_counts: dict[str, int]
-    lossy_corners: list[tuple[int, int | None]]
-    mse: float
-    psnr_db: float
+    __slots__ = ()
 
     @property
     def lossy_corner_count(self) -> int:

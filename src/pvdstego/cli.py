@@ -5,11 +5,9 @@ Exit codes: 0 success, 1 usage error, 2 payload exceeds capacity,
 """
 
 import argparse
-import json
 import math
 import sys
 from collections.abc import Iterator
-from dataclasses import asdict
 from pathlib import Path
 
 from . import metrics
@@ -155,6 +153,8 @@ def cmd_embed(args) -> int:
         mse=round(result.mse, 6),
         psnr_db=_json_db(result.psnr_db),
     )
+    import json  # imported here and in the other JSON writers: no other command needs it
+
     Path(args.out).write_bytes(stego_bytes)
     Path(args.out + ".json").write_text(json.dumps(report, indent=2) + "\n")
     print(
@@ -181,6 +181,8 @@ def cmd_capacity(args) -> int:
     cover = _load_cover(args.cover)
     raw_bits, net_bytes = metrics.capacity(cover, table)
     if args.format == "json":
+        import json
+
         print(json.dumps({"cover": args.cover, "raw_bits": raw_bits, "net_bytes": net_bytes}))
     else:
         print(f"{args.cover}: raw_bits={raw_bits} net_bytes={net_bytes}")
@@ -228,7 +230,9 @@ def cmd_compare(args) -> int:
     if args.format == "csv":
         sys.stdout.write(metrics.rows_to_csv(rows))
     elif args.format == "json":
-        print(json.dumps([{**asdict(r), "psnr_db": _json_db(r.psnr_db)} for r in rows], indent=2))
+        import json
+
+        print(json.dumps([{**r._asdict(), "psnr_db": _json_db(r.psnr_db)} for r in rows], indent=2))
     else:
         sys.stdout.write(metrics.rows_to_table(rows))
     return EXIT_CAPACITY if skipped else EXIT_OK

@@ -10,9 +10,9 @@ one key per block, the index of its chunk text in ``RangeTable.texts``,
 and ``collect_frame`` joins and packs a whole window's texts at once.
 """
 
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Sequence
 
 DEFAULT_WIDTHS = (8, 8, 16, 32, 64, 128)
 

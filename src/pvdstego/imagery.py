@@ -11,10 +11,9 @@ and ``block_lanes`` the same as 16-bit lanes with a lane mask of p < q.
 extractors and the capacity pass, which each read a window at a time.
 """
 
-import random
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
 BLOCK_WINDOW = 4096  # the most blocks block_windows puts in one window
 
@@ -23,23 +22,27 @@ class PgmError(ValueError):
     """Raised for malformed or unsupported PGM data."""
 
 
-@dataclass(frozen=True)
-class GrayImage:
-    """Immutable 8-bit grayscale raster, pixels in flat row-major order."""
+class GrayImage(namedtuple("GrayImage", "width height pixels")):
+    """Immutable 8-bit grayscale raster, pixels in flat row-major order.
 
-    width: int
-    height: int
-    pixels: bytes
+    A named tuple: ``_replace`` and ``_make`` build through the checks
+    of ``__new__`` as the constructor does.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.pixels, bytes):
-            raise TypeError(f"pixels must be bytes, got {type(self.pixels).__name__}")
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"image dimensions must be positive, got {self.width}x{self.height}")
-        if len(self.pixels) != self.width * self.height:
-            raise ValueError(
-                f"pixel count {len(self.pixels)} does not match {self.width}x{self.height}"
-            )
+    __slots__ = ()
+
+    def __new__(cls, width: int, height: int, pixels: bytes):
+        if not isinstance(pixels, bytes):
+            raise TypeError(f"pixels must be bytes, got {type(pixels).__name__}")
+        if width <= 0 or height <= 0:
+            raise ValueError(f"image dimensions must be positive, got {width}x{height}")
+        if len(pixels) != width * height:
+            raise ValueError(f"pixel count {len(pixels)} does not match {width}x{height}")
+        return super().__new__(cls, width, height, pixels)
+
+    @classmethod
+    def _make(cls, iterable):  # the named tuple's _replace builds through this
+        return cls(*iterable)
 
 
 def block_windows(pixels: bytes) -> Iterator[bytes]:
@@ -224,6 +227,8 @@ def synthetic_cover(kind: str, width: int = 512, height: int = 512, seed: int = 
             ((x + y) * 255) // span for y in range(height) for x in range(width)
         )
     elif kind == "noise":
+        import random  # imported here: no other function draws random numbers
+
         rng = random.Random(seed)
         px = bytes(rng.randrange(256) for _ in range(width * height))
     elif kind == "checkerboard":

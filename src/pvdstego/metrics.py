@@ -1,8 +1,8 @@
 """Image-quality and payload metrics: MSE/PSNR, capacity, comparison rows."""
 
 import math
-from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .codec import HEADER_BITS, RangeTable
 from .imagery import GrayImage, block_differences, block_windows
@@ -10,13 +10,7 @@ from .imagery import GrayImage, block_differences, block_windows
 PEAK_SQUARED = 255 * 255
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    cover: str
-    method: str
-    capacity_bytes: int
-    psnr_db: float
-    violations: int
+ComparisonRow = namedtuple("ComparisonRow", "cover method capacity_bytes psnr_db violations")
 
 
 def mse_psnr(a: Sequence[int], b: Iterable[int]) -> tuple[float, float]:
@@ -57,7 +51,7 @@ def capacity(cover: GrayImage, table: RangeTable) -> tuple[int, int]:
     return raw, max(0, (raw - HEADER_BITS) // 8)
 
 
-_HEADER = tuple(f.name for f in fields(ComparisonRow))
+_HEADER = ComparisonRow._fields
 
 
 def _cells(r: ComparisonRow) -> tuple[str, ...]:

@@ -23,12 +23,12 @@ pack.  The selftest also runs ``pvd_embed_image`` over every case and
 the lookup over every pair of [0, 255]^2 against the kernels.
 """
 
-from dataclasses import dataclass
 from bisect import bisect_left
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter
-from typing import Iterable, Iterator
 
 from .codec import CapacityError, RangeTable, collect_frame
 from .imagery import GrayImage, block_differences, block_lanes, block_windows
@@ -169,8 +169,9 @@ def plain_lanes(window: bytes, d: bytes, d_new: bytes) -> tuple[int, int, int, i
     return ones, m, p_new, q_new
 
 
-@dataclass
-class PvdResult:
+class PvdResult(
+    namedtuple("PvdResult", "stored wide violations bits_embedded blocks_used mse psnr_db")
+):
     """Embedding trace: stored 8-bit raster plus violation and quality statistics.
 
     ``stored`` is the stego raster as a PGM holds it, every value
@@ -179,16 +180,9 @@ class PvdResult:
     raster rebuilt from the two.  ``violations`` counts ``wide``, all in
     the first ``2 * blocks_used`` values; the rest is the cover's.
     ``mse`` and ``psnr_db`` measure the wide raster against the cover,
-    the distortion the arithmetic produced before any clamp.
+    the distortion the arithmetic produced before any clamp.  No
+    ``__slots__``: the instance ``__dict__`` holds the cached ``stego``.
     """
-
-    stored: bytes
-    wide: list[tuple[int, int]]
-    violations: int
-    bits_embedded: int
-    blocks_used: int
-    mse: float
-    psnr_db: float
 
     @cached_property
     def stego(self) -> list[int]:

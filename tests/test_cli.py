@@ -103,6 +103,23 @@ def test_recorded_stego_images_extract_as_recorded(tmp_path, name, method, kind,
     assert sum(a != b for a, b in zip(recovered, payload, strict=True)) == wrong_bytes
 
 
+@pytest.mark.parametrize(
+    "name,method,kind", [("pvd-noise-32", "pvd", "noise"), ("apvd-checkerboard-32", "apvd", "checkerboard")]
+)
+def test_embed_writes_the_recorded_image_and_sidecar(tmp_path, monkeypatch, name, method, kind, capsys):
+    # the recipe of fixtures/README.md, relative paths and all, so the sidecar's "cover" matches
+    monkeypatch.chdir(tmp_path)
+    cover = synthetic_cover(kind, 32, 32, 0)
+    Path(f"{name}-cover.pgm").write_bytes(save_pgm(cover))
+    Path(f"{name}-payload.bin").write_bytes(random.Random(0).randbytes(capacity(cover, TABLE)[1]))
+    assert main([
+        "embed", "--method", method, "--cover", f"{name}-cover.pgm",
+        "--payload", f"{name}-payload.bin", "--out", f"{name}.pgm",
+    ]) == EXIT_OK
+    assert Path(f"{name}.pgm").read_bytes() == (FIXTURES / f"{name}.pgm").read_bytes()
+    assert Path(f"{name}.pgm.json").read_text() == (FIXTURES / f"{name}.pgm.json").read_text()
+
+
 def test_embed_pvd_round_trip_without_violations(tmp_path, capsys):
     # mid-gray flat cover: d' <= 7 keeps every stego value near 128
     cover = GrayImage(48, 48, bytes([128] * (48 * 48)))
@@ -302,6 +319,13 @@ def test_compare_bundled_synthetics_csv(capsys):
         assert {m1, m2} == {"pvd", "apvd"}
         assert cap1 == cap2  # same hiding capacity for both methods
         assert v2 == "0"  # adaptive row is violation-free
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_compare_prints_what_was_recorded(fmt, capsys):
+    # the rows' fields, their order and their text, as fixtures/README.md recorded them
+    assert main(["compare", "--size", "32", "--format", fmt]) == EXIT_OK
+    assert capsys.readouterr().out == (FIXTURES / f"compare-32.{fmt}").read_text()
 
 
 def test_compare_json_and_file_cover(tmp_path, capsys):
@@ -555,11 +579,15 @@ def test_cli_start_leaves_the_process_pool_unimported():
     import pvdstego
 
     src = str(Path(pvdstego.__file__).resolve().parent.parent)
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import pvdstego.cli; "
-        "print('concurrent.futures' in sys.modules, 'pvdstego.oracle' in sys.modules)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
-    ).stdout
-    assert out == "False False\n"  # selftest loads the oracle, and the pool on more than one CPU
+    # selftest loads the oracle, and the pool on more than one CPU; the others cost
+    # a cold start time that no command needs (json: the commands that write JSON)
+    unused = ("concurrent.futures", "pvdstego.oracle", "dataclasses", "inspect", "json", "typing", "random")
+    for module in ("pvdstego", "pvdstego.cli"):
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+            f"print([name for name in {unused!r} if name in sys.modules])"
+        )
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True
+        ).stdout
+        assert out == "[]\n", module

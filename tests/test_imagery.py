@@ -140,6 +140,23 @@ def test_image_invariants():
         GrayImage(0, 2, b"")
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [{"pixels": b"abcdef"}, {"width": 0}, {"pixels": bytearray(b"ab")}],
+    ids=["wrong length", "zero width", "bytearray"],
+)
+def test_replace_and_make_check_as_the_constructor_does(changes):
+    # a named tuple's own _replace and _make build through tuple.__new__, past the checks
+    image = GrayImage(2, 1, b"ab")
+    fields = {**image._asdict(), **changes}
+    with pytest.raises((TypeError, ValueError)) as direct:
+        GrayImage(**fields)
+    for build in (lambda: image._replace(**changes), lambda: GrayImage._make(fields.values())):
+        with pytest.raises(direct.type) as built:
+            build()
+        assert str(built.value) == str(direct.value)
+
+
 @pytest.mark.parametrize("pixels", [[1, 2, 3, 4], [300, 2, 3, 4], bytearray(4), (1, 2, 3, 4)])
 def test_image_pixels_must_be_bytes(pixels):
     # a list would pass here and fail later, in save_pgm or capacity

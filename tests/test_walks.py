@@ -14,7 +14,6 @@ import math
 import random
 import tempfile
 import tracemalloc
-from dataclasses import replace
 from itertools import accumulate
 from pathlib import Path
 
@@ -374,8 +373,8 @@ def _flip(result, at: int):
     values = list(getattr(stego, "pixels", stego))
     values[at] ^= 1
     if isinstance(stego, GrayImage):
-        return replace(result, stego=replace(stego, pixels=bytes(values)))
-    spoiled = replace(result)  # PvdResult.stego is a cached property, not a field
+        return result._replace(stego=stego._replace(pixels=bytes(values)))
+    spoiled = result._replace()  # PvdResult.stego is a cached property, not a field
     vars(spoiled)["stego"] = values
     return spoiled
 
@@ -384,19 +383,19 @@ def _flip_stored(result, at: int):
     """The pvd walk's result with the LSB of stored value ``at`` flipped; its stego follows."""
     stored = bytearray(result.stored)
     stored[at] ^= 1
-    return replace(result, stored=bytes(stored))
+    return result._replace(stored=bytes(stored))
 
 
 def _add_one(result, name: str):
     """The walk's result with 1 added to its field ``name``."""
-    return replace(result, **{name: getattr(result, name) + 1})
+    return result._replace(**{name: getattr(result, name) + 1})
 
 
 def _spoil_count(result, name: str):
     """One more of the first label in the apvd walk's counts ``name``."""
     counts = dict(getattr(result, name))
     counts[next(iter(counts))] += 1
-    return replace(result, **{name: counts})
+    return result._replace(**{name: counts})
 
 
 @pytest.mark.parametrize(
