@@ -209,7 +209,6 @@ def embed_walk(cover: GrayImage, stream: bytes, table: RangeTable) -> ApvdReport
     occur.  Raises CapacityError, with the sum of t over every block as
     the bits available, if the stream outlasts the blocks.
     """
-    t_of, lower = bytes(table.t), table.lower
     parts: list[bytearray] = []
     codes = bytearray()  # each block's mark case, as its index in MARK_CASES
     branch_counts = dict.fromkeys(BRANCHES, 0)
@@ -229,7 +228,7 @@ def embed_walk(cover: GrayImage, stream: bytes, table: RangeTable) -> ApvdReport
         while i >= 0:
             k = i >> 1
             pair, flag, branch = embed_block_values(
-                window[i], window[i + 1], d_new[k] - lower[d[k]], table
+                window[i], window[i + 1], d_new[k] - table.lower[d[k]], table
             )
             pair, case = mark_with_case(pair, flag)
             stego[i : i + 2] = pair
@@ -238,7 +237,7 @@ def embed_walk(cover: GrayImage, stream: bytes, table: RangeTable) -> ApvdReport
             if case == LOSSY_MARK_CASE:
                 # the chunk is all ones, and its last bit, framed-stream
                 # bit end - 1, reads back flipped
-                end = bit + sum(d[: k + 1].translate(t_of))
+                end = bit + sum(d[: k + 1].translate(table.t))
                 byte = (end - 1 - HEADER_BITS) // 8 if end > HEADER_BITS else None
                 lossy_corners.append((len(codes) + k, byte))
             i = slow.find(1, i + 2)

@@ -43,10 +43,10 @@ class RangeTable:
     """Contiguous ranges partitioning the difference domain [0, 255].
 
     The k-th range holds the ``widths[k]`` differences after those of
-    ranges 0..k-1 and hides log2(widths[k]) bits per block.  ``t[d]`` and
-    ``lower[d]`` are the bits per block and the range's lower bound for
-    each difference d, the lookups the block kernels use.  ``texts`` and
-    ``msb_set`` are extraction's lookups by difference, built on first use.
+    ranges 0..k-1 and hides log2(widths[k]) bits per block.  ``t`` and
+    ``lower``, 256 bytes each, give each difference d its bits per block
+    and its range's lower bound, for the kernels and the window translates.
+    ``texts`` and ``msb_set``, extraction's lookups, are built on first use.
 
     Raises ValueError unless every width is a power of two >= 2 and the
     widths sum to 256, so each range hides exactly log2(width) bits.
@@ -63,9 +63,9 @@ class RangeTable:
         if total != 256:
             raise ValueError(f"range widths must sum to 256, got {total}")
         self.widths = widths
-        self.t = tuple(w.bit_length() - 1 for w in widths for _ in range(w))
+        self.t = bytes(w.bit_length() - 1 for w in widths for _ in range(w))
         starts = accumulate(widths, initial=0)
-        self.lower = tuple(start for start, w in zip(starts, widths) for _ in range(w))
+        self.lower = bytes(start for start, w in zip(starts, widths) for _ in range(w))
 
     @cached_property
     def texts(self) -> tuple[str, ...]:
@@ -78,9 +78,6 @@ class RangeTable:
         """By difference d, the difference whose text is d's with the MSB set."""
         pairs = enumerate(zip(self.t, self.lower))
         return bytes(low + (d - low | 1 << (t - 1)) for d, (t, low) in pairs)
-
-    def __eq__(self, other):
-        return isinstance(other, RangeTable) and self.widths == other.widths
 
     def __repr__(self):
         return f"RangeTable(widths={','.join(map(str, self.widths))})"

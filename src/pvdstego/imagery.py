@@ -94,12 +94,10 @@ _TOKEN = re.compile(rb"#[^\r\n]*|[^ \t\r\n\x0b\x0c#]+")
 _COMMENT = re.compile(rb"#[^\r\n]*")
 
 # A P2 raster is decoded a window at a time, so that only one window's
-# words are alive at once.  A window is _WINDOW bytes plus the rest of
-# the token they end in, or whatever is left; a line end ends any
-# comment, so a window holding a '#' is extended to one.
+# words are alive at once: _WINDOW bytes plus the rest of the token they
+# end in, or whatever is left, cut after the raster's comments are blanked.
 _WINDOW = 8192
 _CUT = re.compile(rb"(?s).{%d}[^ \t\r\n\x0b\x0c]*|.+" % _WINDOW)
-_LINE_REST = re.compile(rb"[^\r\n]*")
 
 # the decimal text of each pixel value; a P2 word found in _DECIMAL is a valid pixel
 _TEXT = tuple(b"%d" % v for v in range(256))
@@ -121,6 +119,7 @@ def load_pgm(data: bytes) -> GrayImage:
 
     Tokens are runs of non-whitespace bytes; a '#' starts a comment that
     runs to the end of its line, anywhere in the header or the P2 raster.
+    A P2 raster holding one has its comments blanked in one pass first.
     """
     try:
         return _decode_pgm(data)
@@ -164,15 +163,11 @@ def _decode_pgm(data: bytes) -> GrayImage:
 
 def _p2_raster(data: bytes, pos: int, count: int) -> bytearray:
     """The ``count`` pixel values of the P2 raster that starts at ``pos``."""
+    if data.find(b"#", pos) >= 0:  # a comment glued to a word ends it, as whitespace does
+        data, pos = _COMMENT.sub(b" ", data[pos:]), 0
     values = bytearray()
-    while pos < len(data):
-        window = _CUT.match(data, pos)[0]
-        pos += len(window)
-        if b"#" in window:  # a comment glued to a word ends it, as whitespace does
-            rest = _LINE_REST.match(data, pos)[0]
-            pos += len(rest)
-            window = _COMMENT.sub(b" ", window + rest)
-        words = window.split()  # splits on exactly the six bytes of _WHITESPACE
+    for window in _CUT.finditer(data, pos):
+        words = window[0].split()  # splits on exactly the six bytes of _WHITESPACE
         spare = count - len(values)
         if len(words) <= spare:
             try:  # extend builds into a temporary, so a miss appends nothing

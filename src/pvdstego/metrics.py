@@ -43,10 +43,9 @@ def capacity(cover: GrayImage, table: RangeTable) -> tuple[int, int]:
     clamped at zero for covers too small to hold even the header).
     Each window's block differences are translated into t and counted.
     """
-    t_of, distinct = bytes(table.t), set(table.t)
-    raw = 0
+    raw, distinct = 0, set(table.t)
     for window in block_windows(cover.pixels):
-        ts = block_differences(window).translate(t_of)
+        ts = block_differences(window).translate(table.t)
         raw += sum(t * ts.count(t) for t in distinct)
     return raw, max(0, (raw - HEADER_BITS) // 8)
 

@@ -62,11 +62,6 @@ def table_sum(keys: bytes, planes: tuple[bytes, bytes]) -> int:
     return sum(keys.translate(low)) + (sum(keys.translate(high)) << 8)
 
 
-# a block's squared error by m = |d' - d|: one pixel moves ceil(m / 2), the other floor
-SQUARED_ERROR = tuple((m - m // 2) ** 2 + (m // 2) ** 2 for m in range(256))
-_SQUARED_ERROR_PLANES = byte_planes(SQUARED_ERROR)
-
-
 def adjust_pair(p: int, q: int, d: int, d_new: int) -> tuple[int, int]:
     """Split m = d_new - d across the pair so that |q' - p'| = d_new.
 
@@ -78,6 +73,11 @@ def adjust_pair(p: int, q: int, d: int, d_new: int) -> tuple[int, int]:
     if p >= q:
         return p + share, q - m + share
     return p - m + share, q + share
+
+
+# a block's squared error by m = |d' - d|, from the moves adjust_pair makes
+SQUARED_ERROR = tuple(p * p + q * q for p, q in (adjust_pair(0, 0, 0, m) for m in range(256)))
+_SQUARED_ERROR_PLANES = byte_planes(SQUARED_ERROR)
 
 
 def embed_pair(p: int, q: int, chunk: int, table: RangeTable) -> tuple[int, int]:
@@ -108,7 +108,6 @@ def cut_chunks(
     sum of t over every block as the bits available, if the stream
     outlasts the blocks.
     """
-    t_of, lower_of = bytes(table.t), bytes(table.lower)
     mask_of = bytes((1 << t) - 1 for t in table.t)
     needed = 8 * len(stream)
     bit = 0
@@ -120,7 +119,7 @@ def cut_chunks(
             break
         first = bit >> 3  # the stream byte of the window's first chunk
         # ends[i + 1]: where block i's chunk ends, in bits from byte ``first``
-        ends = list(accumulate(d.translate(t_of), initial=bit & 7))
+        ends = list(accumulate(d.translate(table.t), initial=bit & 7))
         if ends[-1] >= needed - 8 * first:  # the stream ends at block n - 1
             n = bisect_left(ends, needed - 8 * first)
             del ends[n + 1 :]
@@ -133,7 +132,7 @@ def cut_chunks(
             ending[shift::8] = (head << shift).to_bytes(size + 1, "big")
         chunks = bytes(itemgetter(*ends)(ending))[1:]  # ends[0] is no block's
         # lower[d] + chunk <= 255: the bytes add without a carry
-        lower = int.from_bytes(d.translate(lower_of), "little")
+        lower = int.from_bytes(d.translate(table.lower), "little")
         mask = int.from_bytes(d.translate(mask_of), "little")
         d_new = lower + (int.from_bytes(chunks, "little") & mask)
         n = len(d)

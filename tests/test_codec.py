@@ -46,16 +46,17 @@ def test_default_table_layout():
     assert table.widths == (8, 8, 16, 32, 64, 128)
     layout = [(0, 7, 3), (8, 15, 3), (16, 31, 4), (32, 63, 5), (64, 127, 6), (128, 255, 7)]
     for lower, upper, bits in layout:
-        assert table.lower[lower : upper + 1] == (lower,) * (upper + 1 - lower)
-        assert table.t[lower : upper + 1] == (bits,) * (upper + 1 - lower)
+        assert table.lower[lower : upper + 1] == bytes([lower]) * (upper + 1 - lower)
+        assert table.t[lower : upper + 1] == bytes([bits]) * (upper + 1 - lower)
     assert table.t[255] == 7
+    assert table.t == b"\x03" * 16 + b"\x04" * 16 + b"\x05" * 32 + b"\x06" * 64 + b"\x07" * 128
 
 
 def test_single_range_table():
     table = build_range_table((256,))
     assert table.widths == (256,)
-    assert table.lower == (0,) * 256
-    assert table.t == (8,) * 256
+    assert table.lower == b"\x00" * 256
+    assert table.t == b"\x08" * 256
 
 
 @pytest.mark.parametrize(
@@ -108,8 +109,9 @@ def test_width_is_exact_power_of_bits():
 
 def test_table_equality_and_repr():
     table = build_range_table()
-    assert table == build_range_table([8, 8, 16, 32, 64, 128])
-    assert table != build_range_table((128, 128))
+    assert table.widths == build_range_table([8, 8, 16, 32, 64, 128]).widths
+    assert table.widths != build_range_table((128, 128)).widths
+    assert {table: "default"}[table] == "default"  # a table can be a dict key
     assert repr(table) == "RangeTable(widths=8,8,16,32,64,128)"
 
 

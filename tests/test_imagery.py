@@ -441,3 +441,42 @@ def test_p2_load_peak_memory_stays_below_the_file():
     finally:
         tracemalloc.stop()
     assert peak < len(data)
+
+
+class _CountingPattern:
+    """Stands in for a compiled pattern and counts its ``sub`` calls."""
+
+    def __init__(self, pattern):
+        self.pattern, self.calls = pattern, 0
+
+    def sub(self, repl, text):
+        self.calls += 1
+        return self.pattern.sub(repl, text)
+
+
+def test_p2_comments_are_blanked_in_one_pass_and_only_when_present(monkeypatch):
+    spy = _CountingPattern(imagery._COMMENT)
+    monkeypatch.setattr(imagery, "_COMMENT", spy)
+    image = synthetic_cover("noise", 256, 256, 0)
+    plain = save_pgm(image, "ascii")
+    assert load_pgm(b"P2 # a header comment\n" + plain[3:]) == image
+    assert spy.calls == 0  # a raster without a '#' is never copied
+    lines = plain.split(b"\n")
+    lines[5] += b"#glued"  # a comment glued to a word ends it, as whitespace does
+    assert load_pgm(b" # a comment\n".join(lines)) == image
+    assert spy.calls == 1
+
+
+def test_p2_load_with_a_comment_on_every_line_stays_within_a_few_files():
+    # re.sub holds each piece between comments and the join's buffer per
+    # piece: about 6x the file with a comment on every 17-value line, where
+    # the words of the whole file would take 12x
+    image = synthetic_cover("noise", 512, 512, seed=0)
+    data = save_pgm(image, variant="ascii").replace(b"\n", b"#c\n")
+    tracemalloc.start()
+    try:
+        assert load_pgm(data) == image
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * len(data)

@@ -25,7 +25,7 @@ def test_public_surface():
     }
     assert public == set(pvdstego.__all__)
     assert pvdstego.build_range_table is pvdstego.RangeTable
-    assert pvdstego.RangeTable() == pvdstego.RangeTable(DEFAULT_WIDTHS)
+    assert pvdstego.RangeTable().widths == pvdstego.RangeTable(DEFAULT_WIDTHS).widths
 
 
 def test_modules_import_downward_and_use_what_they_import():

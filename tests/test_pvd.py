@@ -71,6 +71,16 @@ def test_plain_lanes_match_adjust_pair_on_every_pair(turn):
         assert (m_i, a - 256, b - 256) == (abs(new - old), *adjust_pair(p, q, old, new)), (p, q, new)
 
 
+@pytest.mark.parametrize("turn", range(3))
+def test_squared_error_matches_adjust_pair_on_every_pair(turn):
+    # every (p, q) once per turn, each with a d' spread over [0, 255]
+    for p in range(256):
+        for q in range(256):
+            d, d_new = abs(p - q), (7 * p + 13 * q + 101 * turn) % 256
+            a, b = adjust_pair(p, q, d, d_new)
+            assert (a - p) ** 2 + (b - q) ** 2 == SQUARED_ERROR[abs(d_new - d)], (p, q, d_new)
+
+
 def _reference_cut(pixels: bytes, stream: bytes, table):
     """cut_chunks the slow way: a bit string, one block at a time."""
     bits = "".join(format(byte, "08b") for byte in stream)
