@@ -100,7 +100,8 @@ def collect_frame(windows: Iterable[bytes], texts: Sequence[str]) -> bytes:
     target = HEADER_BITS
     declared = None
     for keys in windows:
-        window = "".join(map(texts.__getitem__, keys))
+        # a comprehension: map would call the tuple's __getitem__, a slot wrapper, per block
+        window = "".join([texts[key] for key in keys])
         got += len(window)
         held += len(window)
         acc = acc << len(window) | int(window or "0", 2)

@@ -164,13 +164,17 @@ def _decode_pgm(data: bytes) -> GrayImage:
 def _p2_raster(data: bytes, pos: int, count: int) -> bytearray:
     """The ``count`` pixel values of the P2 raster that starts at ``pos``."""
     if data.find(b"#", pos) >= 0:  # a comment glued to a word ends it, as whitespace does
-        data, pos = _COMMENT.sub(b" ", data[pos:]), 0
+        blanked = bytearray(data)  # the one copy; blanking in place keeps every offset
+        for start, end in map(re.Match.span, _COMMENT.finditer(data, pos)):
+            blanked[start:end] = b" " * (end - start)
+        data = blanked  # _CUT's matches on a bytearray are bytes, which key _DECIMAL
     values = bytearray()
     for window in _CUT.finditer(data, pos):
         words = window[0].split()  # splits on exactly the six bytes of _WHITESPACE
         spare = count - len(values)
         if len(words) <= spare:
-            try:  # extend builds into a temporary, so a miss appends nothing
+            try:  # extend builds into a temporary, so a miss appends nothing; map,
+                # as a dict's __getitem__ is a builtin method, beats a comprehension
                 values.extend(map(_DECIMAL.__getitem__, words))
                 continue
             except KeyError:
@@ -204,8 +208,8 @@ def save_pgm(img: GrayImage, variant: str = "binary") -> bytes:
     if variant != "ascii":
         raise ValueError(f"unknown variant {variant!r}, expected 'ascii' or 'binary'")
     px = img.pixels
-    # 17 values of <= 4 chars keeps lines under 70
-    lines = (b" ".join(map(_TEXT.__getitem__, px[i : i + 17])) for i in range(0, len(px), 17))
+    # 17 values of <= 4 chars keep lines under 70; comprehensions skip map's slot-wrapper calls
+    lines = [b" ".join([_TEXT[v] for v in px[i : i + 17]]) for i in range(0, len(px), 17)]
     return header.encode("ascii") + b"\n".join(lines) + b"\n"
 
 
