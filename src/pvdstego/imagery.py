@@ -86,18 +86,18 @@ def block_differences(pixels: bytes) -> bytes:
 
 # --- PGM codec -------------------------------------------------------------
 
-_WHITESPACE = b" \t\r\n\x0b\x0c"
+_WHITESPACE = b" \t\r\n\x0b\x0c"  # what bytes.split() separates on
 
 # a comment to the end of its line, or a token; whatever neither matches
 # is whitespace
-_TOKEN = re.compile(rb"#[^\r\n]*|[^ \t\r\n\x0b\x0c#]+")
+_TOKEN = re.compile(rb"#[^\r\n]*|[^%s#]+" % re.escape(_WHITESPACE))
 _COMMENT = re.compile(rb"#[^\r\n]*")
 
 # A P2 raster is decoded a window at a time, so that only one window's
 # words are alive at once: _WINDOW bytes plus the rest of the token they
 # end in, or whatever is left, cut after the raster's comments are blanked.
 _WINDOW = 8192
-_CUT = re.compile(rb"(?s).{%d}[^ \t\r\n\x0b\x0c]*|.+" % _WINDOW)
+_CUT = re.compile(rb"(?s).{%d}[^%s]*|.+" % (_WINDOW, re.escape(_WHITESPACE)))
 
 # the decimal text of each pixel value; a P2 word found in _DECIMAL is a valid pixel
 _TEXT = tuple(b"%d" % v for v in range(256))

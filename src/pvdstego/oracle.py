@@ -218,7 +218,7 @@ def _sweep_row(p: int, table: RangeTable) -> OracleResult:
     cover = b"".join(bytes((p, q)) * (1 << t) for q, t in enumerate(ts)) + bytes(2 * fill) + b"\1\2\3"
     image = GrayImage(len(cover), 1, cover)
     try:
-        wide = pvd.pvd_embed_image(image, stream, table)
+        walk = pvd.pvd_embed_image(image, stream, table)
         report = apvd.embed_walk(image, stream, table)
     except ValueError as exc:  # CapacityError, or a value the stego bytearray refuses
         out.walk_mismatches += 1
@@ -235,13 +235,13 @@ def _sweep_row(p: int, table: RangeTable) -> OracleResult:
         want_cases[case] = want_cases.get(case, 0) + fillers
     stego, tail = report.stego.pixels, list(cover[walked:])
     for what, got, want in (
-        ("pvd embed", wide.stego[: len(base)], base),
-        ("pvd stored", list(wide.stored[: len(base)]), [min(max(v, 0), 255) for v in base]),
-        ("pvd tail", wide.stego[walked:], tail),
-        ("pvd blocks used", [wide.blocks_used], [walked // 2]),
-        ("pvd bits embedded", [wide.bits_embedded], [8 * len(stream)]),
-        ("pvd squared error", [(wide.mse, wide.psnr_db)], [mse_psnr(cover, wide.stego)]),
-        ("pvd violation count", [wide.violations], [len([v for v in wide.stego if v < 0 or v > 255])]),
+        ("pvd embed", walk.stego[: len(base)], base),
+        ("pvd stored", list(walk.stored[: len(base)]), [min(max(v, 0), 255) for v in base]),
+        ("pvd tail", walk.stego[walked:], tail),
+        ("pvd blocks used", [walk.blocks_used], [walked // 2]),
+        ("pvd bits embedded", [walk.bits_embedded], [8 * len(stream)]),
+        ("pvd squared error", [(walk.mse, walk.psnr_db)], [mse_psnr(cover, walk.stego)]),
+        ("pvd violation count", [walk.violations], [len([v for v in walk.stego if v < 0 or v > 255])]),
         ("apvd embed", list(stego[: len(marked)]), marked),
         ("apvd tail", list(stego[walked:]), tail),
         ("apvd blocks used", [report.blocks_used], [walked // 2]),

@@ -14,13 +14,14 @@ selftest checks case by case.  The image walks do not call them per
 block.  ``cut_chunks`` cuts the stream into chunks and gives both walks
 each block's d' a window of blocks at a time, ``plain_lanes`` applies
 ``adjust_pair`` to a whole window in 16-bit lanes of big ints, and
-``pvd_embed_image`` reads the clamped 8-bit raster, the violations and
-the squared error off those lanes.  Extraction reads the stored 8-bit
-raster, the wide one clamped, as Wu and Tsai define it: ``chunk_keys``
-gives each window's ``imagery.block_differences``, the keys of the
-blocks' texts in ``RangeTable.texts``, for ``codec.collect_frame`` to
-pack.  The selftest also runs ``pvd_embed_image`` over every case and
-the lookup over every pair of [0, 255]^2 against the kernels.
+``pvd_embed_image`` reads the clamped 8-bit raster, the wide one modulo
+256, the violation count and the squared error off those lanes.
+Extraction reads the stored 8-bit raster, the wide one clamped, as Wu
+and Tsai define it: ``chunk_keys`` gives each window's
+``imagery.block_differences``, the keys of the blocks' texts in
+``RangeTable.texts``, for ``codec.collect_frame`` to pack.  The selftest
+also runs ``pvd_embed_image`` over every case and the lookup over every
+pair of [0, 255]^2 against the kernels.
 """
 
 from bisect import bisect_left
@@ -169,44 +170,43 @@ def plain_lanes(window: bytes, d: bytes, d_new: bytes) -> tuple[int, int, int, i
 
 
 class PvdResult(
-    namedtuple("PvdResult", "stored wide violations bits_embedded blocks_used mse psnr_db")
+    namedtuple("PvdResult", "stored wrapped violations bits_embedded blocks_used mse psnr_db")
 ):
     """Embedding trace: stored 8-bit raster plus violation and quality statistics.
 
     ``stored`` is the stego raster as a PGM holds it, every value
-    clamped into [0, 255]; ``wide`` lists (index, value) of each value
-    the arithmetic put outside [0, 255], and ``stego`` is the wide
-    raster rebuilt from the two.  ``violations`` counts ``wide``, all in
-    the first ``2 * blocks_used`` values; the rest is the cover's.
-    ``mse`` and ``psnr_db`` measure the wide raster against the cover,
-    the distortion the arithmetic produced before any clamp.  No
-    ``__slots__``: the instance ``__dict__`` holds the cached ``stego``.
+    clamped into [0, 255], and ``wrapped`` the wide raster modulo 256
+    (``stored`` itself if none left [0, 255]): a value below 0 wraps into
+    [129, 255] and one past 255 into [0, 127], so ``stego`` rebuilds the
+    wide raster from the two.  ``violations`` counts the values outside
+    [0, 255], all in the first ``2 * blocks_used``.  ``mse`` and
+    ``psnr_db`` measure the wide raster against the cover, before any
+    clamp.  No ``__slots__``: the instance ``__dict__`` caches ``stego``.
     """
 
     @cached_property
     def stego(self) -> list[int]:
-        """The wide raster: ``stored`` with the ``wide`` values put back."""
-        values = list(self.stored)
-        for index, value in self.wide:
-            values[index] = value
-        return values
+        """The wide raster, rebuilt from ``wrapped`` and ``stored``."""
+        pairs = zip(self.wrapped, self.stored)  # where they differ, 0 or 255 says which way
+        return [w if w == s else w - 256 if s == 0 else w + 256 for w, s in pairs]
 
 
 def pvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> PvdResult:
-    """Embed a stream with ``embed_pair`` over each block until it is exhausted.
+    """Embed a stream over each block until it is exhausted.
 
     The caller frames the stream (see codec.frame_payload).  A window
     of blocks at a time: ``cut_chunks`` gives each block's d', and
-    ``plain_lanes`` the pixels.  Each lane is clamped, a lane whose bit
-    8 is clear adds its value to ``wide``, and the squared error is the
-    sum of ``SQUARED_ERROR`` over the m lanes.  Untouched blocks and any
-    odd trailing pixel are copied verbatim.  Raises CapacityError, with
-    the sum of t over every block as the bits available, if the stream
-    outlasts the blocks.
+    ``plain_lanes`` the pixels.  Each lane is clamped into ``stored``,
+    a lane whose bit 8 is clear counts as a violation, and a window with
+    any adds its lanes' low bytes to ``wrapped``; the squared error is
+    the sum of ``SQUARED_ERROR`` over the m lanes.  Untouched blocks and
+    any odd trailing pixel are copied verbatim.  Raises CapacityError,
+    with the sum of t over every block as the bits available, if the
+    stream outlasts the blocks.
     """
     parts: list[bytes] = []
-    wide: list[tuple[int, int]] = []
-    ssd = walked = 0
+    wraps: list[bytes] = []
+    ssd = walked = violations = 0
     for _, window, d, d_new in cut_chunks(cover.pixels, payload, table):
         ones, m, p_new, q_new = plain_lanes(window, d, d_new)
         n = len(window)
@@ -214,21 +214,20 @@ def pvd_embed_image(cover: GrayImage, payload: bytes, table: RangeTable) -> PvdR
         # a lane in range keeps its low byte; below 0 it reads 0, past 255 (bit 9 set) 255
         stored_p = p_new & inside_p * 0xFF | (p_new >> 9 & ones) * 0xFF
         stored_q = q_new & inside_q * 0xFF | (q_new >> 9 & ones) * 0xFF
-        parts.append((stored_p | stored_q << 8).to_bytes(n, "little"))
-        outside = (ones ^ inside_p) | (ones ^ inside_q) << 8  # one byte per pixel
-        if outside:
-            flags = outside.to_bytes(n, "little")
-            lanes = p_new.to_bytes(n, "little"), q_new.to_bytes(n, "little")
-            i = flags.find(1)
-            while i >= 0:
-                lane, k = lanes[i & 1], i & ~1
-                wide.append((walked + i, lane[k] + (lane[k + 1] << 8) - 256))
-                i = flags.find(1, i + 1)
+        part = (stored_p | stored_q << 8).to_bytes(n, "little")
+        parts.append(part)
+        outside = (ones ^ inside_p) | (ones ^ inside_q) << 8  # one bit per pixel
+        if outside:  # the lanes' low bytes, where the window's stored part will not do
+            violations += outside.bit_count()
+            part = (p_new & ones * 0xFF | (q_new & ones * 0xFF) << 8).to_bytes(n, "little")
+        wraps.append(part)
         ssd += table_sum(m.to_bytes(n, "little")[0::2], _SQUARED_ERROR_PLANES)
         walked += n
-    stored = b"".join([*parts, memoryview(cover.pixels)[walked:]])  # one copy of the tail
+    tail = memoryview(cover.pixels)[walked:]  # one copy of the tail per raster
+    stored = b"".join([*parts, tail])
+    wrapped = b"".join([*wraps, tail]) if violations else stored
     mse, psnr_db = mse_psnr_of(ssd, len(cover.pixels))
-    return PvdResult(stored, wide, len(wide), 8 * len(payload), walked // 2, mse, psnr_db)
+    return PvdResult(stored, wrapped, violations, 8 * len(payload), walked // 2, mse, psnr_db)
 
 
 def chunk_keys(pixels: bytes) -> Iterator[bytes]:

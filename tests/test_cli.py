@@ -137,7 +137,7 @@ def test_embed_pvd_round_trip_without_violations(tmp_path, capsys):
     assert json.loads((tmp_path / "stego.pgm.json").read_text())["violations"] == 0
     # embed writes the walk's stored raster as it is: the wide raster clamped
     result = pvd_embed_image(cover, frame_payload(message), TABLE)
-    assert result.wide == []
+    assert result.wrapped == result.stored
     assert result.stored == clamp_raster(result.stego)
     assert stego.read_bytes() == save_pgm(GrayImage(48, 48, result.stored))
     assert main([

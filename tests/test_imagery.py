@@ -411,6 +411,18 @@ def _p2_across_windows(draw):
     return b"P2\n%d 1\n255" % width + bytes(body)
 
 
+def test_whitespace_is_what_split_separates_on():
+    # a _CUT window must end where bytes.split() sees whitespace, and the
+    # regex classes are built from _WHITESPACE, so all three agree
+    splits = {b for b in range(256) if bytes((49, b, 50)).split() == [b"1", b"2"]}
+    assert splits == set(imagery._WHITESPACE)
+    words = {b for b in range(256) if imagery._TOKEN.fullmatch(bytes((b,)))}
+    assert words == set(range(256)) - splits  # "#" matches as an empty comment
+    head = b"7" * imagery._WINDOW
+    cuts = {b for b in range(256) if imagery._CUT.match(head + bytes((b, 51)))[0] == head}
+    assert cuts == splits
+
+
 @settings(max_examples=60, deadline=None)
 @given(_p2_across_windows())
 def test_windowed_p2_matches_token_reference(data):

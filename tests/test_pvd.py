@@ -206,12 +206,27 @@ def test_image_embed_counts_violations_on_either_side_and_measures_the_wide_rast
     assert (result.mse, result.psnr_db) == mse_psnr(cover.pixels, result.stego)
 
 
+def test_image_embed_wraps_both_ends_of_the_widest_window():
+    # (256,), d' = 255 from d = 1 and d = 0: the widest moves the walk can make
+    table = build_range_table((256,))
+    cover = GrayImage(5, 1, bytes((0, 1, 255, 255, 7)))
+    result = pvd_embed_image(cover, b"\xff\xff", table)
+    assert embed_pair(0, 1, 255, table) == (-127, 128)
+    assert embed_pair(255, 255, 255, table) == (383, 128)
+    assert wide_window(table) == (-128, 383)
+    assert result.stego == [-127, 128, 383, 128, 7]
+    assert result.stored == bytes((0, 128, 255, 128, 7))
+    assert result.wrapped == bytes((129, 128, 127, 128, 7))  # the wide raster modulo 256
+    assert result.violations == 2
+
+
 def test_image_embed_flat_cover_no_violations():
     # mid-gray flat cover: d' <= 7 keeps every stego value near 128
     cover = GrayImage(64, 64, bytes([128] * (64 * 64)))
     message = b"\xaa" * 124
     result = pvd_embed_image(cover, frame_payload(message), TABLE)
     assert result.violations == 0
+    assert result.wrapped is result.stored  # no second raster when nothing wraps
     assert min(result.stego) >= 0 and max(result.stego) <= 255
     assert deframe_payload(pvd_extract_image(bytes(result.stego), TABLE)) == message
 

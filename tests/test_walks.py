@@ -153,9 +153,9 @@ def _check_walks(cover: GrayImage, payload: bytes, table):
     wide, violations, bits = _reference_embed(cover, framed, table, adaptive=False)
     assert result.stego == wide
     assert result.stored == clamp_raster(wide)
-    assert result.wide == [(i, v) for i, v in enumerate(wide) if not 0 <= v <= 255]
+    assert result.wrapped == bytes(v % 256 for v in wide)
     assert (result.mse, result.psnr_db) == mse_psnr(cover.pixels, wide)
-    assert result.violations == sum(violations) == len(result.wide)
+    assert result.violations == sum(violations) == sum(not 0 <= v <= 255 for v in wide)
     assert result.bits_embedded == bits
     assert result.blocks_used == len(violations)
     # the wide raster round-trips through the kernel; extraction reads the
@@ -380,10 +380,15 @@ def _flip(result, at: int):
 
 
 def _flip_stored(result, at: int):
-    """The pvd walk's result with the LSB of stored value ``at`` flipped; its stego follows."""
-    stored = bytearray(result.stored)
+    """The pvd walk's result with the LSB of stored value ``at`` flipped; its stego follows.
+
+    The same byte flips in ``wrapped``, so that the two still agree where
+    the value is in range.
+    """
+    stored, wrapped = bytearray(result.stored), bytearray(result.wrapped)
     stored[at] ^= 1
-    return result._replace(stored=bytes(stored))
+    wrapped[at] ^= 1
+    return result._replace(stored=bytes(stored), wrapped=bytes(wrapped))
 
 
 def _add_one(result, name: str):
@@ -475,6 +480,18 @@ def test_extraction_memory_stays_within_three_rasters():
     assert _traced_peak(lambda: pvd_extract_image(plain, TABLE)) < 3 * size
     assert apvd_extract_image(stego, TABLE) == payload
     assert deframe_payload(pvd_extract_image(plain, TABLE)) == payload
+
+
+def test_out_of_range_pixels_cost_no_memory_each():
+    # full capacity at 512x512: 14,433 violations on noise, 28 on the gradient
+    peaks, violations = {}, {}
+    for kind in ("noise", "gradient"):
+        cover = synthetic_cover(kind, 512, 512, 0)
+        stream = frame_payload(random.Random(0).randbytes(capacity(cover, TABLE)[1]))
+        peaks[kind] = _traced_peak(lambda: pvd_embed_image(cover, stream, TABLE))
+        violations[kind] = pvd_embed_image(cover, stream, TABLE).violations
+    assert violations["noise"] > 100 * violations["gradient"] > 0
+    assert peaks["noise"] < 1.5 * peaks["gradient"]
 
 
 @pytest.mark.parametrize("table", [TABLE, build_range_table((2,) * 128)], ids=["default", "1-bit"])
