@@ -68,15 +68,15 @@ BRANCHES = (
 
 LOSSY_MARK_CASE = "keep/01-corner"
 
-# every mark case; the walk records each block's as its index here, and
-# the first four, 2 * (LSB of first) + (LSB of second), need no sub-case
+# every mark case; the walk records each block's as its index here.  A
+# pair without a boundary sub-case is at 4 * flag + 2 * (LSB of first) +
+# (LSB of second), and the boundary sub-case of flag f at 8 + 2 * f
 MARK_CASES = (
-    *("keep/00", "keep/01", "keep/10", "keep/11", "keep/01-top", LOSSY_MARK_CASE),
-    *("drop/00", "drop/01", "drop/10", "drop/10-bottom", "drop/11"),
+    *("keep/00", "keep/01", "keep/10", "keep/11"),
+    *("drop/00", "drop/01", "drop/10", "drop/11"),
+    *("keep/01-top", LOSSY_MARK_CASE, "drop/10-bottom"),
 )
 _CASE_CODE = {case: code for code, case in enumerate(MARK_CASES)}
-# the mark-case label of a pair without a boundary sub-case, by flag, LSB of first, LSB of second
-_MARK_LABELS = tuple(tuple((f"{mode}/{a}0", f"{mode}/{a}1") for a in "01") for mode in ("keep", "drop"))
 _UNMARK = bytes(v ^ 1 for v in range(256))  # a marked first pixel unmarked: LSB 0 +1, LSB 1 -1
 _FLAG_MASK = bytes(255 * (v & 1) for v in range(256))  # 0xFF where the flag, the LSB, is 1
 _SQUARE_PLANES = byte_planes(v * v for v in range(256))  # a pixel's squared error by |stego - cover|
@@ -147,7 +147,7 @@ def mark_with_case(
     """
     p, q = pixels
     lsb = p & 1
-    case = _MARK_LABELS[flag][lsb][q & 1]
+    case = MARK_CASES[4 * flag + 2 * lsb + (q & 1)]
     if lsb != flag:  # the first pixel steps to the flag's parity
         return (p ^ 1, q), case
     step = (p ^ 1) - p  # the way p ^ 1 moved: +1 for flag 0, -1 for flag 1
@@ -155,7 +155,7 @@ def mark_with_case(
     if 0 <= q_new <= 255:
         return (p, q_new), case
     if 0 <= p - 2 * step <= 255:
-        return (p - 2 * step, q - step), case + ("-top", "-bottom")[flag]
+        return (p - 2 * step, q - step), MARK_CASES[8 + 2 * flag]
     if flag:
         raise ValueError(f"pair {pixels} cannot arise from a discard branch")
     return pixels, LOSSY_MARK_CASE

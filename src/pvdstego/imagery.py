@@ -8,7 +8,8 @@ end); an odd trailing pixel belongs to no block and is never modified.
 ``block_differences`` gives every block's |p - q| in whole-raster int steps,
 and ``block_lanes`` the same as 16-bit lanes with a lane mask of p < q.
 ``block_windows`` is the one window schedule of the embed walks, the
-extractors and the capacity pass, which each read a window at a time.
+extractors and the capacity pass, which each read a window of whole
+blocks at a time; the odd pixel is in no window.
 """
 
 import re
@@ -50,11 +51,11 @@ def block_windows(pixels: bytes) -> Iterator[bytes]:
 
     The first holds 256 blocks and each next one twice as many, up to
     BLOCK_WINDOW, so a reader that stops after a short payload has read
-    few blocks past it.  An odd trailing pixel ends the last.
+    few blocks past it.  An odd trailing pixel is in no window.
     """
-    start, size = 0, 2 * 256
-    while start < len(pixels):
-        yield pixels[start : start + size]
+    start, size, end = 0, 2 * 256, len(pixels) & ~1
+    while start < end:
+        yield pixels[start : min(start + size, end)]
         start += size
         size = min(2 * size, 2 * BLOCK_WINDOW)
 
@@ -88,10 +89,10 @@ def block_differences(pixels: bytes) -> bytes:
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"  # what bytes.split() separates on
 
+_COMMENT = re.compile(rb"#[^\r\n]*")
 # a comment to the end of its line, or a token; whatever neither matches
 # is whitespace
-_TOKEN = re.compile(rb"#[^\r\n]*|[^%s#]+" % re.escape(_WHITESPACE))
-_COMMENT = re.compile(rb"#[^\r\n]*")
+_TOKEN = re.compile(rb"%s|[^%s#]+" % (_COMMENT.pattern, re.escape(_WHITESPACE)))
 
 # A P2 raster is decoded a window at a time, so that only one window's
 # words are alive at once: _WINDOW bytes plus the rest of the token they

@@ -18,9 +18,10 @@ kernels have run over a row's cases, both embed walks
 (``pvd.pvd_embed_image`` and ``apvd.embed_walk``, which do the kernels'
 arithmetic a window of blocks at a time) run once over a cover holding
 those cases in sweep order, and every field of their results is
-checked against the kernels, the cover and ``metrics.mse_psnr``; the
-pvd walk's stored raster against the kernels' values clamped.  What
-differs is ``walk_mismatches``.
+checked against the kernels, the cover and ``metrics.mse_psnr``: the
+pvd walk's ``stored`` and ``wrapped`` rasters against the wide raster
+of the kernels' values, clamped and modulo 256.  What differs is
+``walk_mismatches``.
 After the sweep, the walks' extraction lookups (``chunk_keys`` in each
 scheme) are checked once on every pair they can meet, [0, 255]^2, as
 one 8-bit raster; a pair whose text differs or is missing (the rest of
@@ -107,7 +108,7 @@ def _check_pair(
         d_new = lower + chunk
 
         # baseline scheme
-        a1, a2 = pvd.embed_pair(p, q, chunk, table)
+        a1, a2 = pvd.adjust_pair(p, q, d, d_new)
         if abs(a2 - a1) != d_new:
             fail(chunk, f"baseline pair ({a1},{a2}) does not realize d'={d_new}")
         if not (wide_min <= a1 <= wide_max and wide_min <= a2 <= wide_max):
@@ -199,9 +200,10 @@ def _sweep_row(p: int, table: RangeTable) -> OracleResult:
     the stream hands each block its chunk, so each walk meets the row's
     cases in sweep order.  Filler (0, 0) blocks after them take the zero
     fill of the stream's last byte, ceil(fill / t[0]) of them; they enter
-    the expected counts, not the comparison of stego values.  The cover
-    ends in a block the stream cannot reach and an odd pixel, so each
-    walk has a tail of the cover's to copy.
+    the expected apvd counts, and the expected pvd rasters as they are,
+    since chunk 0 at d = 0 leaves a pair unchanged.  The cover ends in a
+    block the stream cannot reach and an odd pixel, so each walk has a
+    tail of the cover's to copy.
     """
     out = OracleResult()
     base: list[int] = []
@@ -233,15 +235,15 @@ def _sweep_row(p: int, table: RangeTable) -> OracleResult:
         case = apvd.mark_with_case(pair, flag)[1]
         want_branches[branch] += fillers
         want_cases[case] = want_cases.get(case, 0) + fillers
+    wide = base + list(cover[len(base) :])  # a filler block embeds chunk 0 at d = 0: unchanged
     stego, tail = report.stego.pixels, list(cover[walked:])
     for what, got, want in (
-        ("pvd embed", walk.stego[: len(base)], base),
-        ("pvd stored", list(walk.stored[: len(base)]), [min(max(v, 0), 255) for v in base]),
-        ("pvd tail", walk.stego[walked:], tail),
+        ("pvd stored", list(walk.stored), [min(max(v, 0), 255) for v in wide]),
+        ("pvd wrapped", list(walk.wrapped), [v % 256 for v in wide]),
         ("pvd blocks used", [walk.blocks_used], [walked // 2]),
         ("pvd bits embedded", [walk.bits_embedded], [8 * len(stream)]),
-        ("pvd squared error", [(walk.mse, walk.psnr_db)], [mse_psnr(cover, walk.stego)]),
-        ("pvd violation count", [walk.violations], [len([v for v in walk.stego if v < 0 or v > 255])]),
+        ("pvd squared error", [(walk.mse, walk.psnr_db)], [mse_psnr(cover, wide)]),
+        ("pvd violation count", [walk.violations], [len([v for v in wide if v < 0 or v > 255])]),
         ("apvd embed", list(stego[: len(marked)]), marked),
         ("apvd tail", list(stego[walked:]), tail),
         ("apvd blocks used", [report.blocks_used], [walked // 2]),

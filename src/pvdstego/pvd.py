@@ -9,10 +9,11 @@ other way.  The scheme is reproduced as defined, including its flaw: near
 and surfaced, never silently repaired; the adaptive variant in
 :mod:`pvdstego.apvd` exists to eliminate them.
 
-``embed_pair`` and ``extract_pair`` are the block kernels, which the
-selftest checks case by case.  The image walks do not call them per
-block.  ``cut_chunks`` cuts the stream into chunks and gives both walks
-each block's d' a window of blocks at a time, ``plain_lanes`` applies
+``adjust_pair`` and ``extract_pair`` are the block kernels, which the
+selftest checks case by case: a chunk embeds as ``adjust_pair(p, q, d,
+lower[d] + chunk)``.  The image walks do not call them per block.
+``cut_chunks`` cuts the stream into chunks and gives both walks each
+block's d' a window of blocks at a time, ``plain_lanes`` applies
 ``adjust_pair`` to a whole window in 16-bit lanes of big ints, and
 ``pvd_embed_image`` reads the clamped 8-bit raster, the wide one modulo
 256, the violation count and the squared error off those lanes.
@@ -64,10 +65,11 @@ def table_sum(keys: bytes, planes: tuple[bytes, bytes]) -> int:
 
 
 def adjust_pair(p: int, q: int, d: int, d_new: int) -> tuple[int, int]:
-    """Split m = d_new - d across the pair so that |q' - p'| = d_new.
+    """The baseline block kernel: split m = d_new - d so that |q' - p'| = d_new.
 
     The larger pixel (p on a tie) moves by half of m rounded away from
-    zero, and its partner by the rest of m the other way.
+    zero, and its partner by the rest of m the other way; either may
+    leave [0, 255].
     """
     m = d_new - d
     share = (m + 1) >> 1 if m > 0 else m >> 1  # the larger pixel's half, away from zero
@@ -79,12 +81,6 @@ def adjust_pair(p: int, q: int, d: int, d_new: int) -> tuple[int, int]:
 # a block's squared error by m = |d' - d|, from the moves adjust_pair makes
 SQUARED_ERROR = tuple(p * p + q * q for p, q in (adjust_pair(0, 0, 0, m) for m in range(256)))
 _SQUARED_ERROR_PLANES = byte_planes(SQUARED_ERROR)
-
-
-def embed_pair(p: int, q: int, chunk: int, table: RangeTable) -> tuple[int, int]:
-    """The baseline block kernel: embed one chunk; may leave [0, 255]."""
-    d = p - q if p > q else q - p
-    return adjust_pair(p, q, d, table.lower[d] + chunk)
 
 
 def extract_pair(first: int, second: int, table: RangeTable) -> tuple[int, int]:
@@ -116,8 +112,6 @@ def cut_chunks(
         if bit >= needed:
             return
         d = block_differences(window)
-        if not d:  # a last window of one odd pixel
-            break
         first = bit >> 3  # the stream byte of the window's first chunk
         # ends[i + 1]: where block i's chunk ends, in bits from byte ``first``
         ends = list(accumulate(d.translate(table.t), initial=bit & 7))
@@ -178,10 +172,11 @@ class PvdResult(
     clamped into [0, 255], and ``wrapped`` the wide raster modulo 256
     (``stored`` itself if none left [0, 255]): a value below 0 wraps into
     [129, 255] and one past 255 into [0, 127], so ``stego`` rebuilds the
-    wide raster from the two.  ``violations`` counts the values outside
-    [0, 255], all in the first ``2 * blocks_used``.  ``mse`` and
-    ``psnr_db`` measure the wide raster against the cover, before any
-    clamp.  No ``__slots__``: the instance ``__dict__`` caches ``stego``.
+    wide raster from the two for callers outside the package.
+    ``violations`` counts the values outside [0, 255], all in the first
+    ``2 * blocks_used``.  ``mse`` and ``psnr_db`` measure the wide raster
+    against the cover, before any clamp.  No ``__slots__``: the instance
+    ``__dict__`` caches ``stego``.
     """
 
     @cached_property

@@ -24,7 +24,7 @@ from pvdstego.codec import build_range_table, frame_payload
 from pvdstego.imagery import GrayImage, synthetic_cover
 from pvdstego.metrics import capacity, format_db, mse_psnr
 from pvdstego.oracle import run as run_oracle
-from pvdstego.pvd import embed_pair, pvd_embed_image
+from pvdstego.pvd import adjust_pair, pvd_embed_image
 
 TABLE = build_range_table()
 
@@ -36,7 +36,7 @@ def _verdict(capsys, name: str, ok: bool, detail: str):
 
 
 def _golden_chain_once():
-    baseline = embed_pair(254, 255, 0b111, TABLE)
+    baseline = adjust_pair(254, 255, 1, TABLE.lower[1] + 0b111)
     pixels, flag, branch = embed_block_values(254, 255, 0b111, TABLE)
     marked, case = mark_with_case(pixels, flag)
     recovered = extract_block_value(marked[0], marked[1], TABLE)

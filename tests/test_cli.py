@@ -419,8 +419,9 @@ def test_selftest_fails_when_a_walk_disagrees_with_the_kernels(monkeypatch, caps
 
     def off_by_one(cover, stream, table):
         result = real(cover, stream, table)
-        result.stego[0] += 1  # the first block of every row
-        return result
+        wrapped = bytearray(result.wrapped)
+        wrapped[0] ^= 1  # the first block of every row
+        return result._replace(wrapped=bytes(wrapped))
 
     monkeypatch.setattr(pvd, "pvd_embed_image", off_by_one)
     # in-process: a pool worker sees the patch only under the fork start method
@@ -428,10 +429,10 @@ def test_selftest_fails_when_a_walk_disagrees_with_the_kernels(monkeypatch, caps
     widths = ",".join(["8"] * 32)
     assert main(["selftest", "--widths", widths]) == cli.EXIT_SELFTEST
     captured = capsys.readouterr()
-    # each row's first pair, and the squared error the walk reports for its stego
-    assert "walk mismatches: 512" in captured.out
+    # each row's first value of the wide raster modulo 256
+    assert "walk mismatches: 256" in captured.out
     assert "selftest passed" not in captured.out
-    assert "pvd embed item(s) differ from the kernels" in captured.err
+    assert "pvd wrapped item(s) differ from the kernels" in captured.err
 
 
 @pytest.mark.parametrize("with_payload", [False, True])

@@ -17,7 +17,6 @@ from pvdstego.pvd import (
     byte_planes,
     clamp_raster,
     cut_chunks,
-    embed_pair,
     extract_pair,
     plain_lanes,
     pvd_embed_image,
@@ -39,8 +38,9 @@ TABLE = build_range_table()
     ],
 )
 def test_embed_block_examples(pair, bits, expected):
-    assert TABLE.t[abs(pair[1] - pair[0])] == len(bits)
-    assert embed_pair(pair[0], pair[1], int(bits, 2), TABLE) == expected
+    d = abs(pair[1] - pair[0])
+    assert TABLE.t[d] == len(bits)
+    assert adjust_pair(pair[0], pair[1], d, TABLE.lower[d] + int(bits, 2)) == expected
 
 
 @pytest.mark.parametrize(
@@ -155,7 +155,7 @@ def test_block_round_trip_inside_byte_range(p, q, data):
     d = abs(q - p)
     t = TABLE.t[d]
     chunk = data.draw(st.integers(0, (1 << t) - 1))
-    first, second = embed_pair(p, q, chunk, TABLE)
+    first, second = adjust_pair(p, q, d, TABLE.lower[d] + chunk)
     low, high = wide_window(TABLE)
     assert low <= first <= high
     assert low <= second <= high
@@ -171,13 +171,13 @@ def test_shrinking_difference_never_escapes(p, q, data):
     chunk = data.draw(st.integers(0, (1 << TABLE.t[d]) - 1))
     if TABLE.lower[d] + chunk > d:
         return
-    first, second = embed_pair(p, q, chunk, TABLE)
+    first, second = adjust_pair(p, q, d, TABLE.lower[d] + chunk)
     assert 0 <= first <= 255
     assert 0 <= second <= 255
 
 
-def test_embed_pair_extract_pair_level():
-    assert embed_pair(64, 80, 0b0110, TABLE) == (61, 83)
+def test_adjust_pair_extract_pair_level():
+    assert TABLE.lower[16] == 16
     assert adjust_pair(64, 80, 16, 16 + 0b0110) == (61, 83)
     assert extract_pair(61, 83, TABLE) == (0b0110, 4)
 
@@ -211,8 +211,8 @@ def test_image_embed_wraps_both_ends_of_the_widest_window():
     table = build_range_table((256,))
     cover = GrayImage(5, 1, bytes((0, 1, 255, 255, 7)))
     result = pvd_embed_image(cover, b"\xff\xff", table)
-    assert embed_pair(0, 1, 255, table) == (-127, 128)
-    assert embed_pair(255, 255, 255, table) == (383, 128)
+    assert adjust_pair(0, 1, 1, table.lower[1] + 255) == (-127, 128)
+    assert adjust_pair(255, 255, 0, table.lower[0] + 255) == (383, 128)
     assert wide_window(table) == (-128, 383)
     assert result.stego == [-127, 128, 383, 128, 7]
     assert result.stored == bytes((0, 128, 255, 128, 7))
