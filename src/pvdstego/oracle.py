@@ -13,15 +13,16 @@ checks, per case, the per-block kernels of both schemes:
   MSB was 1, and extraction returns the exact chunk -- except for the
   counted lossy-corner blocks, which must be off by exactly one.
 
-The sweep's unit is a row, one first-pixel value p.  Once the
-kernels have run over a row's cases, both embed walks
-(``pvd.pvd_embed_image`` and ``apvd.embed_walk``, which do the kernels'
-arithmetic a window of blocks at a time) run once over a cover holding
-those cases in sweep order, and every field of their results is
-checked against the kernels, the cover and ``metrics.mse_psnr``: the
-pvd walk's ``stored`` and ``wrapped`` rasters against the wide raster
-of the kernels' values, clamped and modulo 256.  What differs is
-``walk_mismatches``.
+The sweep's unit is a row, one first-pixel value p.  Once the kernels
+have run over a row's cases, both embed walks (``pvd.pvd_embed_image``
+and ``apvd.embed_walk``, which do the kernels' arithmetic a window of
+blocks at a time) run once over a cover holding those cases in sweep
+order.  Each walk's whole raster must be the kernels' values for every
+block walked, fillers included, then the cover's tail (pvd's ``stored``
+and ``wrapped`` clamped and modulo 256); each other field must match
+the kernels and ``metrics.mse_psnr`` of it, but apvd's ``lossy_corners``
+only by its mark-case count (the tests' ``_check_walks`` checks its
+records).  What differs is ``walk_mismatches``.
 After the sweep, the walks' extraction lookups (``chunk_keys`` in each
 scheme) are checked once on every pair they can meet, [0, 255]^2, as
 one 8-bit raster; a pair whose text differs or is missing (the rest of
@@ -90,8 +91,8 @@ def _check_pair(
     out: OracleResult,
     base: list[int],
     marked: list[int],
-) -> None:
-    """Check every chunk of block (p, q); append its stego values to ``base`` and ``marked``."""
+) -> int:
+    """Check every chunk of block (p, q); append its stego values to ``base`` and ``marked``, return t."""
     d = abs(q - p)
     t = table.t[d]
     lower = table.lower[d]
@@ -160,6 +161,7 @@ def _check_pair(
                 fail(chunk, f"difference recovery gave {abs(adjusted - m2)}, expected {realized}")
             if value != chunk or t_back != t:
                 fail(chunk, f"round trip extracted {value} over {t_back} bits")
+    return t
 
 
 def _check_lookups(table: RangeTable, out: OracleResult) -> None:
@@ -199,19 +201,16 @@ def _sweep_row(p: int, table: RangeTable) -> OracleResult:
     The walks' cover holds block (p, q) once per chunk of its range and
     the stream hands each block its chunk, so each walk meets the row's
     cases in sweep order.  Filler (0, 0) blocks after them take the zero
-    fill of the stream's last byte, ceil(fill / t[0]) of them; they enter
-    the expected apvd counts, and the expected pvd rasters as they are,
-    since chunk 0 at d = 0 leaves a pair unchanged.  The cover ends in a
-    block the stream cannot reach and an odd pixel, so each walk has a
-    tail of the cover's to copy.
+    fill of the stream's last byte, ceil(fill / t[0]) of them; the kernels
+    give their values once, which enter both expected rasters, and their
+    branch and mark case enter the expected apvd counts.  The cover ends
+    in a block the stream cannot reach and an odd pixel, so each walk has
+    a tail of the cover's to copy.
     """
     out = OracleResult()
     base: list[int] = []
     marked: list[int] = []
-    for q in range(256):
-        _check_pair(p, q, table, out, base, marked)
-
-    ts = [table.t[abs(p - q)] for q in range(256)]
+    ts = [_check_pair(p, q, table, out, base, marked) for q in range(256)]
     chunks = {t: "".join(format(v, f"0{t}b") for v in range(1 << t)) for t in set(ts)}
     bits = "".join(map(chunks.__getitem__, ts))
     fill = -len(bits) % 8
@@ -228,25 +227,25 @@ def _sweep_row(p: int, table: RangeTable) -> OracleResult:
         return out
 
     fillers = -(-fill // table.t[0])
-    walked = len(base) + 2 * fillers  # stego values of the blocks walked
+    base += pvd.adjust_pair(0, 0, 0, table.lower[0]) * fillers
     want_branches, want_cases = dict(out.branch_counts), dict(out.mark_case_counts)
     if fillers:
         pair, flag, branch = apvd.embed_block_values(0, 0, 0, table)
-        case = apvd.mark_with_case(pair, flag)[1]
+        filler, case = apvd.mark_with_case(pair, flag)
+        marked += filler * fillers
         want_branches[branch] += fillers
         want_cases[case] = want_cases.get(case, 0) + fillers
-    wide = base + list(cover[len(base) :])  # a filler block embeds chunk 0 at d = 0: unchanged
-    stego, tail = report.stego.pixels, list(cover[walked:])
+    tail = list(cover[len(base) :])
+    wide, stego = base + tail, marked + tail  # each scheme's expected raster
     for what, got, want in (
         ("pvd stored", list(walk.stored), [min(max(v, 0), 255) for v in wide]),
         ("pvd wrapped", list(walk.wrapped), [v % 256 for v in wide]),
-        ("pvd blocks used", [walk.blocks_used], [walked // 2]),
+        ("pvd blocks used", [walk.blocks_used], [len(base) // 2]),
         ("pvd bits embedded", [walk.bits_embedded], [8 * len(stream)]),
         ("pvd squared error", [(walk.mse, walk.psnr_db)], [mse_psnr(cover, wide)]),
         ("pvd violation count", [walk.violations], [len([v for v in wide if v < 0 or v > 255])]),
-        ("apvd embed", list(stego[: len(marked)]), marked),
-        ("apvd tail", list(stego[walked:]), tail),
-        ("apvd blocks used", [report.blocks_used], [walked // 2]),
+        ("apvd stego", list(report.stego.pixels), stego),
+        ("apvd blocks used", [report.blocks_used], [len(marked) // 2]),
         ("apvd bits embedded", [report.bits_embedded], [8 * len(stream)]),
         ("apvd squared error", [(report.mse, report.psnr_db)], [mse_psnr(cover, stego)]),
         ("apvd branch count", sorted(report.branch_counts.items()), sorted(want_branches.items())),
